@@ -37,7 +37,6 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
-import traceback  # noqa: E402
 from collections import Counter, defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
 from typing import NamedTuple  # noqa: E402
@@ -63,6 +62,7 @@ class Outcome(NamedTuple):
     code: int | None
     error: float
     problem: str | None  # None when the op passed
+    known: bool  # the op failed in the way of its known defect
 
 
 def execute(cli, op):
@@ -74,22 +74,26 @@ def execute(cli, op):
             code = cli.main(list(op.argv))
     except SystemExit as exc:  # argparse reports bad arguments this way
         code = exc.code if isinstance(exc.code, int) else 1
-    except Exception:  # a traceback is a failed op, not a failed benchmark
-        code, crash = None, traceback.format_exc(limit=1).strip().splitlines()[-1]
+    except Exception as exc:  # a traceback is a failed op, not a failed benchmark
+        code, crash = None, exc
     latency = time.perf_counter() - start
-    error, problem = 0.0, None
+    out, err = out.getvalue(), err.getvalue()
+    error, failure, detail = 0.0, None, ""
     if crash is not None:
-        problem = f"traceback: {crash}"
-    elif "Traceback" in err.getvalue():
-        problem = "traceback on stderr"
+        failure, detail = f"raises {type(crash).__name__}", str(crash)
+    elif "Traceback" in err:
+        failure = "traceback on stderr"
     elif code != op.expect_exit:
-        problem = f"exit {code}, expected {op.expect_exit}"
+        failure, detail = f"exit {code}", f"expected {op.expect_exit}"
     else:
         try:
-            error = op.check(out.getvalue(), err.getvalue())
-        except (workloads.Mismatch, KeyError, ValueError, TypeError, IndexError) as exc:
-            problem = f"check: {type(exc).__name__}: {exc}"
-    return Outcome(latency, code, error, problem)
+            error = op.check(out, err)
+        except workloads.CHECK_ERRORS as exc:
+            failure, detail = f"check {type(exc).__name__}", str(exc)
+    if failure is None:
+        return Outcome(latency, code, error, None, False)
+    known = op.known_defect is not None and op.known_defect.shown_by(failure, out, err)
+    return Outcome(latency, code, error, f"{failure}: {detail}", known)
 
 
 def write_files(ops):
@@ -116,8 +120,8 @@ class Tally:
             self.worst = max(self.worst, outcome.error)
             return
         self.failed += 1
-        if op.known_defect:
-            self.known[op.known_defect] += 1
+        if outcome.known:
+            self.known[op.known_defect.text] += 1
         else:
             self.unexpected.append(f"{op.kind}: {outcome.problem}: {' '.join(op.argv)[:200]}")
 
@@ -147,15 +151,17 @@ def busy_s(outcomes):
 
 
 def measure_setup():
-    """Median time for a fresh interpreter to import finitehilbert.cli, raw and scaled."""
-    samples, speed = [], Speedometer()
+    """Median time for a fresh interpreter to import finitehilbert.cli, and the samples.
+
+    It is not scaled by the kernel: import runs in another process and spends
+    its time differently, and scaled medians spread twice as far as raw ones.
+    """
+    samples = []
     for _ in range(SETUP_RUNS):
-        speed.run_kernel(25)
         proc = subprocess.run([sys.executable, "-c", SETUP_CODE], cwd=ROOT,
                               capture_output=True, text=True, timeout=120, check=True)
         samples.append(float(proc.stdout.strip().splitlines()[-1]))
-    speed.run_kernel(25)
-    return statistics.median(samples) * speed.scale(), samples
+    return statistics.median(samples), samples
 
 
 def percentile(sorted_values, q):
@@ -175,12 +181,9 @@ def latency_metrics(kinds, latencies, tail_percentile):
     by_kind = defaultdict(list)
     for kind, latency in zip(kinds, latencies):
         by_kind[kind].append(latency)
-    # Each kind's median latency stands for all its ops, so a few slow ops
-    # move the throughput no more than they move a median.
-    robust_busy = sum(len(v) * statistics.median(v) for v in by_kind.values())
     ordered = sorted(latencies)
     tail, beyond = percentile(ordered, tail_percentile)
-    return {"ops_per_s": len(ordered) / robust_busy,
+    return {"ops_per_s": len(ordered) / sum(ordered),
             "op_p50_ms": 1e3 * statistics.median(ordered),
             "op_tail_ms": 1e3 * tail, "beyond_tail": beyond,
             "kind_mean_ms": {k: 1e3 * statistics.mean(v) for k, v in sorted(by_kind.items())}}

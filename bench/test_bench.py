@@ -3,6 +3,7 @@
     python3 -m pytest -q bench/test_bench.py
 """
 
+import json
 import math
 import shutil
 import subprocess
@@ -149,6 +150,49 @@ def test_exact_counts_repeat(cli):
         assert first[name] == second[name]
     assert first["engine.quad.evals"] > 0
     assert first["airfoil.solves_per_invert"] == 2.0
+
+
+class _FakeCli:
+    """Stands in for the program: prints out, then returns code or raises."""
+
+    def __init__(self, code=0, out="", raises=None):
+        self.code, self.out, self.raises = code, out, raises
+
+    def main(self, argv):
+        if self.raises is not None:
+            raise self.raises
+        print(self.out, end="")
+        return self.code
+
+
+def _laeng_payload(residuals):
+    reports = [{"name": "laeng", "tolerance": 1e-3, "max_abs_residual": r, "pass": r <= 1e-3}
+               for r in residuals]
+    return json.dumps({"reports": reports, "pass": all(r["pass"] for r in reports)})
+
+
+def test_known_defect_covers_only_its_own_failure(cli):
+    rng = np.random.default_rng(0)
+    crash = workloads.op_invalid(rng, ["crash_norms"])
+    assert run.execute(cli, crash).known
+    assert run.execute(_FakeCli(raises=ValueError("p")), crash).known
+    for fake in (_FakeCli(raises=KeyError("p")), _FakeCli(code=1)):
+        outcome = run.execute(fake, crash)
+        assert outcome.problem is not None and not outcome.known
+
+    laeng = workloads.op_laeng(rng, None, failing=True)
+    assert run.execute(cli, laeng).known
+    assert run.execute(_FakeCli(1, _laeng_payload([0.01, 1e-4])), laeng).known
+    for fake in (_FakeCli(1, _laeng_payload([1e-4, 1e-4])), _FakeCli(1, "not json"),
+                 _FakeCli(3, _laeng_payload([0.01, 1e-4]))):
+        outcome = run.execute(fake, laeng)
+        assert outcome.problem is not None and not outcome.known
+
+    high = workloads.op_high_degree(rng, workloads.Slot("high", 0.9))
+    assert run.execute(cli, high).known
+    for fake in (_FakeCli(0, "not json"), _FakeCli(1)):
+        outcome = run.execute(fake, high)
+        assert outcome.problem is not None and not outcome.known
 
 
 def test_fails_without_the_program():

@@ -14,7 +14,8 @@ op's error against the benchmark's own reference, relative to max(1, |ref|).
 Residuals the program prints about itself are held to their documented
 tolerances but are not such errors.  Ops tagged ``known_defect`` reproduce a
 defect of the program listed in README.md; they count as failed like any
-other op, but they do not make the run incorrect.
+other op, and when they fail in the defect's own way they do not make the
+run incorrect.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ VALUE_TOL = 1e-6
 IDENTITY_TOL = {"parseval": 1e-6, "poincare_bertrand": 1e-4, "laeng": 1e-3,
                 "kernel": 1e-8}
 NORM_SLACK = 1e-3
+# Exit code of identities and norms when a report misses its tolerance.
+EXIT_REPORT_FAIL = 1
 STABILITY = 0.10
 SOLVABILITY_TOL = 1e-8
 
-CRASH_NORMS_P = "norms --p outside (1,2) raises ValueError instead of exiting 2"
-CRASH_CONSTANT = "invert --constant that is not a number raises ValueError instead of exiting 2"
-HIGH_DEGREE = "closed-form transform of a (0,0) series of degree >= 40 loses all digits"
-LAENG = "identities --suite laeng fails its 1e-3 tolerance for some unions"
 
 # Screened at the commit that introduced the benchmark by screen_laeng.py:
 # suite seeds whose level-set report passes, and seeds whose report fails.
@@ -67,6 +66,38 @@ class Mismatch(Exception):
     """The program's output disagrees with the reference."""
 
 
+class OutOfTolerance(Mismatch):
+    """A value in the program's output misses the reference by more than its tolerance."""
+
+
+# What a check may raise on output that is wrong or malformed.
+CHECK_ERRORS = (Mismatch, KeyError, ValueError, TypeError, IndexError)
+
+
+@dataclass(frozen=True)
+class KnownDefect:
+    """A defect of the program and the one failure by which it shows.
+
+    ``failure`` names the failure as run.execute does: "raises ValueError",
+    "exit 1" or "check OutOfTolerance".  ``confirm(out, err)`` raises one of
+    CHECK_ERRORS when the output of that failure is not the known one.  Any
+    other failure of the op is a new defect.
+    """
+
+    text: str
+    failure: str
+    confirm: Callable[[str, str], None] = lambda out, err: None
+
+    def shown_by(self, failure, out, err):
+        if failure != self.failure:
+            return False
+        try:
+            self.confirm(out, err)
+        except CHECK_ERRORS:
+            return False
+        return True
+
+
 @dataclass
 class Op:
     kind: str
@@ -74,7 +105,7 @@ class Op:
     check: Callable[[str, str], float]
     expect_exit: int = 0
     files: dict = field(default_factory=dict)  # relative path -> bytes
-    known_defect: str | None = None
+    known_defect: KnownDefect | None = None
 
 
 @dataclass(frozen=True)
@@ -162,7 +193,7 @@ def _csv_bytes(x, values):
 
 def _within(error, tol, what):
     if not error <= tol:
-        raise Mismatch(f"{what} {error:.2e} exceeds {tol:g}")
+        raise OutOfTolerance(f"{what} {error:.2e} exceeds {tol:g}")
     return error
 
 
@@ -200,14 +231,21 @@ def _plain_spec(rng, degree):
 
 
 def op_series(rng, slot, grid=False):
-    """A (0,0) input: chebT or chebU of degree 1-20, or poly of degree 1-8."""
+    """A (0,0) input: chebT or chebU of degree 1-24, or poly of degree 1-60.
+
+    The program evaluates (0,0) series through monomials, so chebT and chebU
+    inputs lose digits with degree (up to about 6e-8 at 24, 1e-3 at 40); those of
+    degree 40-60 are op_high_degree's known defect, and 25-39 are left out
+    because there the 1e-6 tolerance is met at some points and not others.
+    poly inputs are monomials already and keep their digits up to 60.
+    """
     pts = _grid(slot.pick(50, 400)) if grid else _points(rng, slot.pick(1, 3))
     kind = "grid_series" if grid else "points_series"
     if rng.random() < 0.25:
-        mono = _random_coeffs(rng, slot.pick(2, 9, stride=7))
+        mono = _random_coeffs(rng, slot.pick(2, 61, stride=7))
         return _transform_op(kind, rng, f"poly:[{_coeffs(mono)}]",
                              lambda t: ref.monomial_transform(mono, t), pts, grid)
-    spec, exact = _plain_spec(rng, slot.pick(1, 20, stride=7))
+    spec, exact = _plain_spec(rng, slot.pick(1, 24, stride=7))
     return _transform_op(kind, rng, spec, exact, pts, grid)
 
 
@@ -268,7 +306,8 @@ def op_jacobi(rng, slot, grid=False):
     Its transform has a closed form only through the Jacobi formula.
     """
     a, b = _exponent(slot.near(rng)), _exponent(slot.near(rng, stride=3))
-    degrees = rng.choice(5, size=2, replace=False)
+    first = slot.pick(0, 4, stride=7)
+    degrees = (first, (first + slot.pick(1, 4, stride=11)) % 5)
     weights = rng.standard_normal(2)
     tc = np.zeros(int(max(degrees)) + 1)
     for n, c in zip(degrees, weights):
@@ -334,7 +373,7 @@ def op_eigencheck(rng, slot):
 
 def op_invert(rng, slot, csv_rhs=False):
     high = slot.u < 0.5
-    tc = _random_coeffs(rng, 4 if csv_rhs else int(rng.integers(2, 9)))
+    tc = _random_coeffs(rng, 4 if csv_rhs else slot.pick(2, 8, stride=3))
     if high:
         tc[0] = 0.0
     files = {}
@@ -452,30 +491,39 @@ def _check_pass_flag(payload):
         raise Mismatch("payload pass flag disagrees with its reports")
 
 
+def _suite_reports(out, suite):
+    """The reports of an identities payload, once their number, names,
+    tolerances and pass flags are checked."""
+    payload = _json(out)
+    reports = payload["reports"]
+    name, count = _SUITE_REPORTS[suite]
+    if len(reports) != count:
+        raise Mismatch(f"{len(reports)} reports, expected {count}")
+    _check_pass_flag(payload)
+    if suite != "norms":
+        for report in reports:
+            tol = IDENTITY_TOL[name]
+            if report["name"] != name or report["tolerance"] != tol:
+                raise Mismatch("identity report name or tolerance differs")
+            if report["pass"] is not (report["max_abs_residual"] <= tol):
+                raise Mismatch("identity report pass flag disagrees with its residual")
+    return reports
+
+
 def op_suite(rng, suite, seed=None, known_defect=None):
     """identities --suite; the identities hold exactly, so every report must pass."""
     if seed is None:
         seed = int(rng.integers(0, 2**31 - 1))
     argv = ["identities", "--suite", suite, "--seed", str(seed), "--no-timestamp"]
-    name, count = _SUITE_REPORTS[suite]
+    name = _SUITE_REPORTS[suite][0]
 
     def check(out, err):
-        payload = _json(out)
-        reports = payload["reports"]
-        if len(reports) != count:
-            raise Mismatch(f"{len(reports)} reports, expected {count}")
-        _check_pass_flag(payload)
+        reports = _suite_reports(out, suite)
         if suite == "norms":
             return max(_check_norm_report(r, r["p"], r["family_size"], r["seed"])
                        for r in reports)
         for report in reports:
-            tol = IDENTITY_TOL[name]
-            residual = report["max_abs_residual"]
-            if report["name"] != name or report["tolerance"] != tol:
-                raise Mismatch("identity report name or tolerance differs")
-            if report["pass"] is not (residual <= tol):
-                raise Mismatch("identity report pass flag disagrees with its residual")
-            _within(residual, tol, f"{name} residual")
+            _within(report["max_abs_residual"], IDENTITY_TOL[name], f"{name} residual")
         return 0.0
 
     return Op(f"suite_{suite}", argv, check, known_defect=known_defect)
@@ -513,6 +561,27 @@ def op_norms(rng, family, n_p=1, loglog=False):
         return error
 
     return Op("norms_loglog" if loglog else "norms", argv, check)
+
+
+# ---------------------------------------------------------------------------
+# Known defects of the program at the commit that introduced the benchmark.
+
+def _laeng_misses(out, err):
+    """The laeng failure: well-formed reports, one of them over its tolerance."""
+    if all(report["pass"] for report in _suite_reports(out, "laeng")):
+        raise Mismatch("laeng reports all pass, yet the command failed")
+
+
+HIGH_DEGREE = KnownDefect(
+    "closed-form transform of a (0,0) series of degree >= 40 loses all digits",
+    "check OutOfTolerance")
+LAENG = KnownDefect("identities --suite laeng fails its 1e-3 tolerance for some unions",
+                    f"exit {EXIT_REPORT_FAIL}", _laeng_misses)
+CRASH_NORMS_P = KnownDefect("norms --p outside (1,2) raises ValueError instead of exiting 2",
+                            "raises ValueError")
+CRASH_CONSTANT = KnownDefect(
+    "invert --constant that is not a number raises ValueError instead of exiting 2",
+    "raises ValueError")
 
 
 # ---------------------------------------------------------------------------
