@@ -21,6 +21,7 @@ from .engine import (
     integrate_unit,
     project_P,
     project_Q,
+    transform,
     weighted_transform,
 )
 from .errors import FhtError

@@ -58,7 +58,7 @@ class RoundTripReport:
 
 
 def _prepare_rhs(g, cfg, degree):
-    g = _as_callable(g, cfg, degree=degree)
+    g = _as_callable(g, degree=degree)
     if not isinstance(g, EndpointWeightedFunction):
         raise UnsupportedExponents("right-hand side must be series-backed or sampled")
     return g

@@ -11,7 +11,6 @@ import csv
 import datetime
 import io
 import json
-import math
 import os
 import re
 import sys
@@ -21,15 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import airfoil, harness, spectrum
-from .engine import (
-    TRICOMI,
-    WIDOM,
-    QuadratureConfig,
-    fht_pointwise,
-    fht_polynomial,
-    fht_spectral,
-    sampled_to_weighted,
-)
+from .engine import TRICOMI, WIDOM, QuadratureConfig, transform
 from .errors import (
     FhtError,
     FunctionSpecError,
@@ -37,12 +28,10 @@ from .errors import (
     NotSolvable,
     SingularEvaluation,
     UnsupportedDescriptor,
-    UnsupportedExponents,
 )
 from .functions import (
     EndpointWeightedFunction,
     IndicatorUnion,
-    SampledFunction,
     one,
     sampled_from_csv,
     sqrt_weight,
@@ -243,26 +232,7 @@ def _table_csv(rows):
 
 
 # ---------------------------------------------------------------------------
-# Transform dispatch shared by the transform/invert commands.
-
-def make_transform(func, run_cfg):
-    """Fastest available route to T(f): closed form, spectral rule, quadrature."""
-    qcfg = run_cfg.quadrature()
-    factor = 1.0 / 1j if run_cfg.convention == WIDOM else 1.0
-    if isinstance(func, SampledFunction):
-        func = sampled_to_weighted(func)
-    if isinstance(func, EndpointWeightedFunction):
-        if func.a == 0.0 and func.b == 0.0:
-            poly = fht_polynomial(func.smooth.to_basis(FIRST_KIND).coeffs)
-            return lambda t: factor * poly(t)
-        try:
-            image = fht_spectral(func, convention=run_cfg.convention)
-        except UnsupportedExponents:
-            pass
-        else:
-            return lambda t: complex(image(t))
-    return lambda t: fht_pointwise(func, t, qcfg, convention=run_cfg.convention)
-
+# Subcommands.
 
 def _parse_points(args, eps_edge):
     if args.points is not None:
@@ -278,14 +248,11 @@ def _parse_points(args, eps_edge):
     return pts
 
 
-# ---------------------------------------------------------------------------
-# Subcommands.
-
 def cmd_transform(args, run_cfg):
     spec = parse_function_spec(args.f)
     pts = _parse_points(args, run_cfg.eps_edge)
-    transform = make_transform(spec.to_function(), run_cfg)
-    rows = [(t, complex(transform(t))) for t in pts]
+    image = transform(spec.to_function(), run_cfg.convention, run_cfg.quadrature())
+    rows = list(zip(pts, np.asarray(image(np.asarray(pts)), dtype=complex)))
     if run_cfg.fmt == "csv":
         _emit(_table_csv(rows), args.output)
     else:
@@ -331,32 +298,6 @@ def cmd_invert(args, run_cfg):
     return 0
 
 
-def _parse_descriptor(text):
-    head, _, rest = text.partition(":")
-    parts = [tok.strip() for tok in rest.split(",")] if rest else []
-    try:
-        if head == "lebesgue" and len(parts) == 1:
-            return spectrum.SpaceDescriptor.lebesgue(float(parts[0]))
-        if head == "lorentz" and len(parts) == 2:
-            r = math.inf if parts[1] in ("inf", "oo") else float(parts[1])
-            return spectrum.SpaceDescriptor.lorentz(float(parts[0]), r)
-        if head == "indexed" and len(parts) == 4:
-            flags = []
-            for tok in parts[2:]:
-                if tok.lower() in ("1", "true", "yes"):
-                    flags.append(True)
-                elif tok.lower() in ("0", "false", "no"):
-                    flags.append(False)
-                else:
-                    raise ValueError(tok)
-            return spectrum.SpaceDescriptor.indexed(
-                float(parts[0]), float(parts[1]), *flags
-            )
-    except ValueError as exc:
-        raise UnsupportedDescriptor(f"bad descriptor {text!r}") from exc
-    raise UnsupportedDescriptor(f"bad descriptor {text!r}")
-
-
 def _parse_lambda(text):
     try:
         re_part, _, im_part = text.partition(",")
@@ -366,7 +307,7 @@ def _parse_lambda(text):
 
 
 def cmd_classify(args, run_cfg):
-    desc = _parse_descriptor(args.space)
+    desc = spectrum.resolve_catalog(args.space)
     fs = spectrum.classify_space(desc)
     if args.boundary_csv:
         pts = spectrum.region_boundary_points(fs.sigma.p, args.boundary_points)

@@ -58,7 +58,7 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _as_callable(f, cfg=DEFAULT_CONFIG, degree=64):
+def _as_callable(f, degree=64):
     """Normalize supported inputs to an evaluable function on (-1,1)."""
     if isinstance(f, SampledFunction):
         return sampled_to_weighted(f, degree=degree)
@@ -127,7 +127,7 @@ def _eval_times_sin(f, theta):
 
 def integrate_unit(f, cfg=DEFAULT_CONFIG):
     """int_{-1}^1 f(x) dx via the x = cos(theta) substitution."""
-    f = _as_callable(f, cfg)
+    f = _as_callable(f)
     real_only = _is_real(f)
 
     def g(theta):
@@ -147,7 +147,7 @@ def _derivative(f, t, h=1e-6):
 
 def fht_pointwise(f, t, cfg=DEFAULT_CONFIG, convention=TRICOMI):
     """T(f)(t) = (1/pi) p.v. int f(x)/(x-t) dx by singularity subtraction."""
-    f = _as_callable(f, cfg)
+    f = _as_callable(f)
     if not -1.0 + cfg.eps_edge <= t <= 1.0 - cfg.eps_edge:
         raise ValueError("t must lie in the interior window")
     ft = complex(f(t))
@@ -219,7 +219,7 @@ def fht_hat(g, cfg=DEFAULT_CONFIG, degree=64):
     sum b_n U_n -> (1/w) sum b_n T_{n+1} is exact; other inputs go through
     quadrature and re-interpolation.
     """
-    g = _as_callable(g, cfg, degree=degree)
+    g = _as_callable(g, degree=degree)
     if isinstance(g, EndpointWeightedFunction) and _exponents_close(g, 0.0, 0.0):
         uc = g.smooth.to_basis(SECOND_KIND).coeffs
         out = np.zeros(len(uc) + 1, dtype=complex)
@@ -234,7 +234,7 @@ def fht_hat(g, cfg=DEFAULT_CONFIG, degree=64):
 
 def fht_check(g, cfg=DEFAULT_CONFIG, degree=64):
     """The pseudo-inverse -w T(g/w); spectral rule sum a_n T_n -> -w sum_{n>=1} a_n U_{n-1}."""
-    g = _as_callable(g, cfg, degree=degree)
+    g = _as_callable(g, degree=degree)
     if not (isinstance(g, EndpointWeightedFunction) and _exponents_close(g, 0.0, 0.0)):
         raise UnsupportedExponents("fht_check needs a plain (0,0) series input")
     tc = g.smooth.to_basis(FIRST_KIND).coeffs
@@ -253,7 +253,7 @@ def project_P(f, cfg=DEFAULT_CONFIG):
 
 def project_Q(f, cfg=DEFAULT_CONFIG):
     """Q(f) = ((1/pi) int f/w) * 1, the projection onto span{1}."""
-    f = _as_callable(f, cfg)
+    f = _as_callable(f)
     if isinstance(f, EndpointWeightedFunction):
         over_w = f.shifted_exponents(-0.5, -0.5)
     else:
@@ -274,7 +274,7 @@ def weighted_transform(gamma, delta, f, t, p=2.0, cfg=DEFAULT_CONFIG,
         raise ExponentOutOfRange(
             f"(gamma, delta)=({gamma}, {delta}) outside (-1/{p}, 1/{pprime:g})"
         )
-    f = _as_callable(f, cfg)
+    f = _as_callable(f)
     if isinstance(f, EndpointWeightedFunction):
         over_rho = f.shifted_exponents(-gamma, -delta)
     else:
@@ -297,33 +297,40 @@ def fht_polynomial_parts(tc):
     Here L(t) = log((1-t)/(1+t)) and R comes from exact integration of the
     difference quotient (a polynomial in x for fixed t).  Exposing the two
     parts lets callers evaluate the log factor in whatever stable form the
-    context provides (e.g. 2 log tan(theta/2) near the endpoints).
+    context provides (e.g. 2 log tan(theta/2) near the endpoints).  Both parts
+    take a scalar or an array.
     """
     mono = _cheb_to_mono(tc)
     n = len(mono)
     # moments m_k = int_{-1}^1 x^k dx
     moments = np.array([0.0 if k % 2 else 2.0 / (k + 1) for k in range(n)])
     series = ChebyshevSeries(np.asarray(tc, dtype=complex), FIRST_KIND)
+    # (f(x) - f(t))/(x - t) = sum_{j>k} mono_j x^k t^(j-1-k), so integrating
+    # in x leaves R(t) = sum_i r_i t^i with r_i = sum_{j>i} mono_j m_(j-1-i)
+    r = [complex(np.dot(mono[i + 1:], moments[: n - 1 - i])) / math.pi
+         for i in range(n - 1)]
+    horner = r[::-1]
 
     def rational(t):
-        # synthetic division: (f(x) - f(t))/(x - t) = sum q_k x^k
-        q = np.zeros(max(n - 1, 1), dtype=complex)
-        acc = 0.0 + 0.0j
-        for k in range(n - 1, 0, -1):
-            acc = mono[k] + t * acc
-            q[k - 1] = acc
-        return np.dot(q, moments[: len(q)]) / math.pi
+        # plain Python arithmetic keeps the scalar calls from quad cheap
+        acc = 0j
+        for c in horner:
+            acc = acc * t + c
+        return acc
 
     return rational, series
 
 
 def fht_polynomial(tc):
-    """Closed-form transform of a T-basis polynomial."""
+    """Closed-form transform of a T-basis polynomial; takes a scalar or an array."""
     rational, series = fht_polynomial_parts(tc)
 
     def value(t):
-        log_part = complex(series(t)) * math.log((1.0 - t) / (1.0 + t)) / math.pi
-        return rational(t) + log_part
+        if isinstance(t, np.ndarray):
+            log = np.log((1.0 - t) / (1.0 + t))
+        else:
+            log = math.log((1.0 - t) / (1.0 + t))
+        return rational(t) + series(t) * log / math.pi
 
     return value
 
@@ -331,3 +338,26 @@ def fht_polynomial(tc):
 def fht_of_one(t):
     """Closed form T(1)(t) = (1/pi) log((1-t)/(1+t))."""
     return math.log((1.0 - t) / (1.0 + t)) / math.pi
+
+
+def transform(f, convention=TRICOMI, cfg=DEFAULT_CONFIG):
+    """T(f) by the fastest exact route, with p.v. quadrature as the fallback.
+
+    This is the one place that picks a route: exponents (0,0) use the closed
+    form for polynomials, the weights w and 1/w (exponents +-1/2) the spectral
+    rules, and everything else fht_pointwise, one point at a time.  Sampled
+    input is interpolated first.  The evaluator takes a scalar or an array.
+    """
+    f = _as_callable(f)
+    if isinstance(f, EndpointWeightedFunction):
+        if f.a == 0.0 and f.b == 0.0:
+            poly = fht_polynomial(f.smooth.to_basis(FIRST_KIND).coeffs)
+            if convention == WIDOM:
+                return lambda t: poly(t) / 1j
+            return poly
+        try:
+            return fht_spectral(f, convention=convention)
+        except UnsupportedExponents:
+            pass
+    return np.vectorize(lambda t: fht_pointwise(f, float(t), cfg, convention),
+                        otypes=[complex])

@@ -79,14 +79,13 @@ def inverse_sqrt_weight():
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Values on a strictly increasing interior grid, with an optional Hoelder hint.
+    """Values on a strictly increasing interior grid.
 
     The default domain is (-1,1); rearrangements live on (0,2).
     """
 
     points: np.ndarray
     values: np.ndarray
-    holder_hint: float | None = None
     eps_edge: float = DEFAULT_EPS_EDGE
     domain: tuple = (-1.0, 1.0)
 
@@ -106,8 +105,6 @@ class SampledFunction:
             raise DegenerateGrid("grid points must be strictly increasing")
         if not np.all(np.isfinite(vals)):
             raise NonFiniteSample("non-finite sample value")
-        if self.holder_hint is not None and not 0.0 < self.holder_hint <= 1.0:
-            raise ValueError("holder_hint must lie in (0, 1]")
 
     def __len__(self):
         return len(self.points)
@@ -125,7 +122,7 @@ class SampledFunction:
         return bool(np.all(self.values.imag == 0.0))
 
 
-def sample(func, n, eps_edge=DEFAULT_EPS_EDGE, spacing="uniform", holder_hint=None):
+def sample(func, n, eps_edge=DEFAULT_EPS_EDGE, spacing="uniform"):
     """Sample a callable on an interior grid.
 
     spacing 'cos' clusters nodes at the endpoints (useful for functions that
@@ -141,7 +138,7 @@ def sample(func, n, eps_edge=DEFAULT_EPS_EDGE, spacing="uniform", holder_hint=No
     else:
         pts = np.linspace(-1.0 + eps_edge, 1.0 - eps_edge, n)
     vals = np.asarray([func(x) for x in pts])
-    return SampledFunction(pts, vals, holder_hint=holder_hint, eps_edge=eps_edge)
+    return SampledFunction(pts, vals, eps_edge=eps_edge)
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,7 @@ def sampled_to_csv(f):
     return buf.getvalue()
 
 
-def sampled_from_csv(text, holder_hint=None, eps_edge=DEFAULT_EPS_EDGE):
+def sampled_from_csv(text, eps_edge=DEFAULT_EPS_EDGE):
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if [h.strip() for h in header] != ["x", "re", "im"]:
@@ -196,5 +193,4 @@ def sampled_from_csv(text, holder_hint=None, eps_edge=DEFAULT_EPS_EDGE):
             continue
         pts.append(float(row[0]))
         vals.append(complex(float(row[1]), float(row[2])))
-    return SampledFunction(np.array(pts), np.array(vals), holder_hint=holder_hint,
-                           eps_edge=eps_edge)
+    return SampledFunction(np.array(pts), np.array(vals), eps_edge=eps_edge)

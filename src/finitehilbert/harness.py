@@ -7,16 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.special import roots_legendre
 
 from .engine import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     fht_pointwise,
     fht_polynomial,
-    fht_spectral,
+    transform,
     weighted_transform,
 )
-from .errors import DegenerateSet, UnsupportedExponents
+from .errors import DegenerateSet
 from .functions import EndpointWeightedFunction, IndicatorUnion, SampledFunction, sample
 from .rearrange import l1_norm, zygmund_norm
 from .series import FIRST_KIND, ChebyshevSeries
@@ -63,24 +64,6 @@ def _report(name, residuals, scale, tolerance, grid_size):
                           tolerance=tolerance)
 
 
-def _poly_transform(func, cfg=DEFAULT_CONFIG):
-    """Exact transform for series-backed inputs; quadrature otherwise.
-
-    Plain T-series go through the closed-form polynomial transform; the
-    canonical (+-1/2, +-1/2) weights go through the exact spectral rules.
-    """
-    if isinstance(func, EndpointWeightedFunction):
-        if func.a == 0.0 and func.b == 0.0:
-            return fht_polynomial(func.smooth.to_basis(FIRST_KIND).coeffs)
-        try:
-            image = fht_spectral(func)
-        except UnsupportedExponents:
-            pass
-        else:
-            return lambda t: complex(image(t))
-    return lambda t: fht_pointwise(func, t, cfg)
-
-
 def check_parseval(f, g, cfg=DEFAULT_CONFIG):
     """Residual of int f T(g) + int g T(f) = 0 for an admissible pair.
 
@@ -88,8 +71,8 @@ def check_parseval(f, g, cfg=DEFAULT_CONFIG):
     is the outer integral, whose integrand has at worst log endpoint
     singularities.
     """
-    Tf = _poly_transform(f, cfg)
-    Tg = _poly_transform(g, cfg)
+    Tf = transform(f, cfg=cfg)
+    Tg = transform(g, cfg=cfg)
 
     def integrand(x):
         return (complex(f(x)) * Tg(x) + complex(g(x)) * Tf(x)).real
@@ -110,8 +93,8 @@ def check_poincare_bertrand(f, g, grid=None, cfg=None):
     if grid is None:
         grid = np.linspace(-0.8, 0.8, 10)
     outer_cfg = cfg or QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8, max_panels=512)
-    Tf = _poly_transform(f)
-    Tg = _poly_transform(g)
+    Tf = transform(f)
+    Tg = transform(g)
 
     class _Inner:
         # Hoelder at interior points; log-singular only at the endpoints
@@ -224,7 +207,7 @@ class ProbeReport:
 
 
 _THETA_N = 2000
-_THETA, _THETA_W = np.polynomial.legendre.leggauss(_THETA_N)
+_THETA, _THETA_W = roots_legendre(_THETA_N)
 _THETA = 0.5 * math.pi * (_THETA + 1.0)
 _THETA_W = 0.5 * math.pi * _THETA_W
 _XGRID = np.cos(_THETA)
@@ -255,9 +238,8 @@ def norm_probe(p, family_size=50, seed=0, degree=10):
     bound = math.tan(math.pi / (2.0 * p))
     ratios = []
     for series in _random_cheb_family(rng, family_size, degree):
-        tf = fht_polynomial(series.coeffs)
         fv = series(_XGRID)
-        tv = np.array([tf(x) for x in _XGRID])
+        tv = fht_polynomial(series.coeffs)(_XGRID)
         ratios.append(_grid_lp(tv, p) / _grid_lp(fv, p))
     sup = float(np.max(ratios))
     return ProbeReport(name=f"norm_p{p:g}", sup_ratio=sup, analytic_bound=bound,

@@ -7,10 +7,10 @@ T_n = (U_n - U_{n-2})/2 and U_n = 2(T_n + T_{n-2} + ...).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct
 
 from .errors import NonFiniteSample
 
@@ -118,11 +118,12 @@ def t_to_u(tc):
 def u_to_t(uc):
     """U-basis coefficients -> T-basis coefficients (exact linear map)."""
     uc = np.asarray(uc, dtype=complex)
-    out = np.zeros(len(uc), dtype=complex)
-    for n in range(len(uc)):
-        # U_n = 2 T_n + 2 T_{n-2} + ... (+ T_0 once when n is even)
-        for k in range(n, -1, -2):
-            out[k] += uc[n] * (1.0 if k == 0 else 2.0)
+    # U_n = 2 T_n + 2 T_{n-2} + ... (+ T_0 once when n is even), so the T_k
+    # coefficient is a reverse cumulative sum over the n of k's parity
+    out = np.empty_like(uc)
+    for parity in (0, 1):
+        out[parity::2] = 2.0 * np.cumsum(uc[parity::2][::-1])[::-1]
+    out[:1] *= 0.5
     return out
 
 
@@ -143,30 +144,7 @@ def interpolate_chebyshev(f, degree):
     vals = np.asarray([complex(f(x)) for x in nodes])
     if not np.all(np.isfinite(vals)):
         raise NonFiniteSample("f is non-finite at a Chebyshev-Gauss node")
-    n = degree + 1
-    k = np.arange(n)
-    theta = (2.0 * k + 1.0) * np.pi / (2.0 * n)
-    # c_m = (2/n) sum_k f(x_k) cos(m theta_k), with the m=0 term halved
-    cosmat = np.cos(np.outer(np.arange(n), theta))
-    coeffs = (2.0 / n) * cosmat @ vals
+    # c_m = (2/n) sum_k f(x_k) cos(m theta_k), with the m=0 term halved: a DCT-II
+    coeffs = dct(vals, type=2) / (degree + 1)
     coeffs[0] *= 0.5
     return ChebyshevSeries(coeffs, FIRST_KIND)
-
-
-def series_to_json(series, a=0.0, b=0.0):
-    """Serialize a (possibly endpoint-weighted) series to the wire format."""
-    payload = {
-        "basis": series.basis,
-        "a": [float(np.real(a)), float(np.imag(a))],
-        "b": [float(np.real(b)), float(np.imag(b))],
-        "coeffs": [[float(c.real), float(c.imag)] for c in series.coeffs],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def series_from_json(text):
-    payload = json.loads(text)
-    coeffs = np.array([complex(re, im) for re, im in payload["coeffs"]])
-    a = complex(*payload["a"])
-    b = complex(*payload["b"])
-    return ChebyshevSeries(coeffs, payload["basis"]), a, b

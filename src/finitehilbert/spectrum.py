@@ -267,19 +267,6 @@ class FineSpectrum:
                 "continuous": self.continuous}
 
 
-def lorentz_indices(p, r):
-    """Embedding indices of the Lorentz space with parameters (p, r).
-
-    Both indices equal p; the weak-type index is attained only for r = inf and
-    the strong-type one only for r = 1.
-    """
-    if not 1.0 < p < math.inf:
-        raise ValueError("p must lie in (1, inf)")
-    if not (r == math.inf or r >= 1.0):
-        raise ValueError("r must be >= 1 or inf")
-    return p, r == math.inf, p, r == 1.0
-
-
 def _lebesgue_spectrum(p):
     region = SpectralRegion(p)
     if p < 2.0:
@@ -362,21 +349,25 @@ def _indexed_spectrum(desc):
     )
 
 
-_CATALOG = {
-    "lebesgue": lambda args: SpaceDescriptor.lebesgue(float(args[0])),
-    "lorentz": lambda args: SpaceDescriptor.lorentz(
-        float(args[0]), math.inf if args[1] in ("inf", "oo") else float(args[1])
-    ),
-}
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def resolve_catalog(name):
-    """Catalog names look like 'lebesgue:2' or 'lorentz:1.5,3'."""
+    """Parse 'lebesgue:p', 'lorentz:p,r' (r may be inf or oo) or 'indexed:pX,qX,pa,qa'."""
+    head, _, rest = name.partition(":")
+    parts = [tok.strip() for tok in rest.split(",")] if rest else []
     try:
-        head, _, rest = name.partition(":")
-        return _CATALOG[head]([s.strip() for s in rest.split(",")])
-    except (KeyError, ValueError, IndexError) as exc:
-        raise UnsupportedDescriptor(f"unknown catalog entry {name!r}") from exc
+        if head == "lebesgue" and len(parts) == 1:
+            return SpaceDescriptor.lebesgue(float(parts[0]))
+        if head == "lorentz" and len(parts) == 2:
+            r = math.inf if parts[1] in ("inf", "oo") else float(parts[1])
+            return SpaceDescriptor.lorentz(float(parts[0]), r)
+        if head == "indexed" and len(parts) == 4:
+            flags = [_FLAGS[tok.lower()] for tok in parts[2:]]
+            return SpaceDescriptor.indexed(float(parts[0]), float(parts[1]), *flags)
+    except (KeyError, ValueError) as exc:
+        raise UnsupportedDescriptor(f"bad descriptor {name!r}") from exc
+    raise UnsupportedDescriptor(f"bad descriptor {name!r}")
 
 
 def classify_space(desc):

@@ -5,6 +5,7 @@ import pytest
 
 from finitehilbert.engine import (
     DEFAULT_CONFIG,
+    TRICOMI,
     WIDOM,
     QuadratureConfig,
     fht_hat,
@@ -16,11 +17,13 @@ from finitehilbert.engine import (
     integrate_unit,
     project_P,
     project_Q,
+    transform,
     weighted_transform,
 )
 from finitehilbert.errors import ExponentOutOfRange, UnsupportedExponents
 from finitehilbert.functions import (
     EndpointWeightedFunction,
+    SampledFunction,
     constant_series,
     inverse_sqrt_weight,
     one,
@@ -93,6 +96,71 @@ def test_polynomial_closed_form_vs_quadrature():
             assert complex(poly(t)) == pytest.approx(
                 complex(fht_pointwise(func, t)), abs=1e-9
             )
+
+
+def _synthetic_division_transform(tc, t):
+    """Reference: the closed form as computed before its rational part was
+    precomputed, by synthetic division of (f(x) - f(t))/(x - t) at each t."""
+    mono = np.polynomial.chebyshev.cheb2poly(np.asarray(tc, dtype=complex))
+    n = len(mono)
+    moments = np.array([0.0 if k % 2 else 2.0 / (k + 1) for k in range(n)])
+    q = np.zeros(max(n - 1, 1), dtype=complex)
+    acc = 0.0 + 0.0j
+    for k in range(n - 1, 0, -1):
+        acc = mono[k] + t * acc
+        q[k - 1] = acc
+    series = ChebyshevSeries(np.asarray(tc, dtype=complex), FIRST_KIND)
+    log_part = complex(series(t)) * math.log((1.0 - t) / (1.0 + t)) / math.pi
+    return np.dot(q, moments[: len(q)]) / math.pi + log_part
+
+
+def test_polynomial_closed_form_matches_synthetic_division():
+    # Both evaluate the same monomial sums in a different order, so they agree
+    # to rounding where the monomial form is well conditioned: inputs given as
+    # monomials, as poly:[...] specs are.  Chebyshev-form inputs lose digits in
+    # the conversion to monomials on both routes alike.
+    rng = np.random.default_rng(5)
+    for degree in range(1, 25):
+        mono = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        tc = np.polynomial.chebyshev.poly2cheb(mono)
+        poly = fht_polynomial(tc)
+        for t in np.linspace(-0.95, 0.95, 9):
+            ref = _synthetic_division_transform(tc, float(t))
+            assert abs(poly(float(t)) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _dispatch_cases():
+    rng = np.random.default_rng(8)
+    coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    mono_tc = np.polynomial.chebyshev.poly2cheb(coeffs)
+    cases = {
+        "poly": EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(mono_tc, FIRST_KIND)),
+        "chebT": EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(coeffs, FIRST_KIND)),
+        "chebU": EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(coeffs, SECOND_KIND)),
+        "jacobi": EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries(coeffs.real, FIRST_KIND)),
+        "sampled": SampledFunction(np.linspace(-0.99, 0.99, 81),
+                                   np.linspace(-0.99, 0.99, 81) ** 3 - 0.5),
+    }
+    for weight, a in (("w", 0.5), ("1/w", -0.5)):
+        for basis in (FIRST_KIND, SECOND_KIND):
+            cases[f"{weight}*cheb{basis}"] = EndpointWeightedFunction(
+                a, a, ChebyshevSeries(coeffs, basis))
+    return cases
+
+
+@pytest.mark.parametrize("convention", [TRICOMI, WIDOM])
+@pytest.mark.parametrize("name", sorted(_dispatch_cases()))
+def test_transform_dispatcher_routes(name, convention):
+    func = _dispatch_cases()[name]
+    image = transform(func, convention)
+    ts = np.linspace(-0.9, 0.9, 7)
+    values = np.asarray(image(ts), dtype=complex)
+    assert values.shape == ts.shape
+    for t, v in zip(ts, values):
+        scalar = complex(image(float(t)))
+        assert abs(v - scalar) <= 1e-14 * max(1.0, abs(scalar))
+        ref = complex(fht_pointwise(func, float(t), convention=convention))
+        assert abs(v - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
 def test_hat_spectral_shift():

@@ -10,8 +10,6 @@ from finitehilbert.series import (
     ChebyshevSeries,
     chebyshev_gauss_nodes,
     interpolate_chebyshev,
-    series_from_json,
-    series_to_json,
     t_to_u,
     u_to_t,
 )
@@ -57,6 +55,23 @@ def test_u_to_t_inverts_t_to_u():
     assert np.allclose(u_to_t(t_to_u(tc)), tc, atol=1e-13)
 
 
+def _u_to_t_loop(uc):
+    """Reference: the O(n^2) expansion U_n = 2 T_n + 2 T_{n-2} + ... (+ T_0)."""
+    out = np.zeros(len(uc), dtype=complex)
+    for n in range(len(uc)):
+        for k in range(n, -1, -2):
+            out[k] += uc[n] * (1.0 if k == 0 else 2.0)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 61])
+def test_u_to_t_matches_reference_loop(n):
+    rng = np.random.default_rng(n)
+    uc = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = _u_to_t_loop(uc)
+    assert np.max(np.abs(u_to_t(uc) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_addition_and_scaling():
     a = ChebyshevSeries([1.0, 2.0], FIRST_KIND)
     b = ChebyshevSeries([0.0, 0.0, 3.0], FIRST_KIND)
@@ -82,6 +97,22 @@ def test_interpolation_exact_for_polynomials():
     assert np.allclose(s(x), f(x), atol=1e-13)
 
 
+@pytest.mark.parametrize("degree", [0, 5, 64])
+def test_interpolation_matches_cosine_matrix(degree):
+    """Reference: the O(n^2) cosine-matrix sum the DCT replaces."""
+
+    def f(x):
+        return np.exp(x) + 1j * np.sin(3.0 * x)
+
+    n = degree + 1
+    theta = (2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n)
+    vals = f(np.cos(theta))
+    ref = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ vals
+    ref[0] *= 0.5
+    coeffs = interpolate_chebyshev(f, degree).coeffs
+    assert np.max(np.abs(coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_interpolation_rejects_non_finite():
     with pytest.raises(NonFiniteSample):
         interpolate_chebyshev(lambda x: float("nan"), 3)
@@ -98,12 +129,3 @@ def test_resolved_and_trimmed():
     assert s.resolved()
     assert not ChebyshevSeries([1.0, 0.5, 0.5], FIRST_KIND).resolved()
     assert s.trimmed(tol=1e-12).degree == 1
-
-
-def test_json_round_trip():
-    s = ChebyshevSeries([1.0 + 2.0j, -0.5], SECOND_KIND)
-    text = series_to_json(s, a=-0.5, b=0.25 + 1j)
-    back, a, b = series_from_json(text)
-    assert back.basis == SECOND_KIND
-    assert np.allclose(back.coeffs, s.coeffs)
-    assert a == -0.5 and b == 0.25 + 1j
