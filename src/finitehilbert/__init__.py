@@ -56,7 +56,6 @@ from .series import ChebyshevSeries, interpolate_chebyshev
 from .spectrum import (
     FineSpectrum,
     SpaceDescriptor,
-    SpectralRegion,
     classify_point,
     classify_space,
     eigen_residual,

@@ -7,9 +7,7 @@ Exit codes: 0 success, 1 failing identity report, 2 spec/argument parse error,
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
-import io
 import json
 import os
 import re
@@ -35,6 +33,7 @@ from .functions import (
     one,
     sampled_from_csv,
     sqrt_weight,
+    table_to_csv,
 )
 from .series import FIRST_KIND, SECOND_KIND, ChebyshevSeries
 
@@ -150,18 +149,12 @@ def spec_of_weighted(func):
 # RunConfig: defaults < config file (FHT_CONFIG or --config) < flags.
 
 @dataclass(frozen=True)
-class RunConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_panels: int = 4096
-    eps_edge: float = 1e-6
+class RunConfig(QuadratureConfig):
+    """The quadrature settings plus the per-run seed, convention and format."""
+
     seed: int = 0
     convention: str = TRICOMI
     fmt: str = "json"
-
-    def quadrature(self):
-        return QuadratureConfig(abs_tol=self.abs_tol, rel_tol=self.rel_tol,
-                                max_panels=self.max_panels, eps_edge=self.eps_edge)
 
 
 _CONFIG_CASTS = {
@@ -180,10 +173,14 @@ def load_run_config(path=None, overrides=None):
                 if not line:
                     continue
                 key, _, raw = line.partition("=")
-                key = key.strip()
+                key, raw = key.strip(), raw.strip()
                 if key not in _CONFIG_CASTS:
                     raise FunctionSpecError(f"unknown config key {key!r}")
-                cfg = replace(cfg, **{key: _CONFIG_CASTS[key](raw.strip())})
+                try:
+                    cfg = replace(cfg, **{key: _CONFIG_CASTS[key](raw)})
+                except ValueError as exc:  # a bad cast or a QuadratureConfig check
+                    raise FunctionSpecError(
+                        f"bad config value {key} = {raw!r}: {exc}") from exc
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg = replace(cfg, **{key: value})
@@ -222,15 +219,6 @@ def _json_text(payload, timestamp):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _table_csv(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "re", "im"])
-    for x, v in rows:
-        writer.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -251,17 +239,18 @@ def _parse_points(args, eps_edge):
 def cmd_transform(args, run_cfg):
     spec = parse_function_spec(args.f)
     pts = _parse_points(args, run_cfg.eps_edge)
-    image = transform(spec.to_function(), run_cfg.convention, run_cfg.quadrature())
-    rows = list(zip(pts, np.asarray(image(np.asarray(pts)), dtype=complex)))
+    image = transform(spec.to_function(), run_cfg.convention, run_cfg)
+    values = np.asarray(image(np.asarray(pts)), dtype=complex)
     if run_cfg.fmt == "csv":
-        _emit(_table_csv(rows), args.output)
+        _emit(table_to_csv(pts, values), args.output)
     else:
         payload = {
             "command": "transform",
             "convention": run_cfg.convention,
             "spec": spec.to_string(),
             "table": [
-                {"x": float(t), "re": v.real, "im": v.imag} for t, v in rows
+                {"x": float(t), "re": v.real, "im": v.imag}
+                for t, v in zip(pts, values)
             ],
         }
         _emit(_json_text(payload, not args.no_timestamp), args.output)
@@ -270,14 +259,13 @@ def cmd_transform(args, run_cfg):
 
 def cmd_invert(args, run_cfg):
     spec = parse_function_spec(args.g)
-    qcfg = run_cfg.quadrature()
     g = spec.to_function()
     if args.regime == airfoil.LOW:
-        sol = airfoil.solve_low(g, C=complex(args.constant), cfg=qcfg)
+        sol = airfoil.solve_low(g, C=complex(args.constant), cfg=run_cfg)
     else:
-        sol = airfoil.solve_high(g, cfg=qcfg)
+        sol = airfoil.solve_high(g, cfg=run_cfg)
     report = airfoil.verify_roundtrip(g, args.regime, C=complex(args.constant),
-                                      cfg=qcfg)
+                                      cfg=run_cfg)
     solution = sol.solution()
     payload = {
         "command": "invert",
@@ -286,7 +274,7 @@ def cmd_invert(args, run_cfg):
         "solution": spec_of_weighted(solution).to_string(),
         "roundtrip_residual": report.max_residual,
         "solvability_residual": (
-            airfoil.solvability_residual(g, qcfg) if args.regime == airfoil.HIGH
+            airfoil.solvability_residual(g, run_cfg) if args.regime == airfoil.HIGH
             else None
         ),
         "constant_recovered": (
@@ -310,14 +298,13 @@ def cmd_classify(args, run_cfg):
     desc = spectrum.resolve_catalog(args.space)
     fs = spectrum.classify_space(desc)
     if args.boundary_csv:
-        pts = spectrum.region_boundary_points(fs.sigma.p, args.boundary_points)
-        rows = [(i, complex(z)) for i, z in enumerate(pts)]
-        _emit(_table_csv(rows), args.boundary_csv)
+        pts = spectrum.region_boundary_points(fs.p, args.boundary_points)
+        _emit(table_to_csv(range(len(pts)), pts), args.boundary_csv)
     payload = {
         "command": "classify-spectrum",
         "convention": WIDOM,
         "space": args.space,
-        "sigma_p": fs.sigma.p,
+        "sigma_p": fs.p,
         "point": fs.point.label(),
         "residual": fs.residual.label(),
         "continuous": fs.continuous.label(),
@@ -334,7 +321,7 @@ def cmd_eigencheck(args, run_cfg):
     lam = _parse_lambda(args.lam)
     gamma = spectrum.gamma_of_lambda(lam)
     grid = np.linspace(-0.9, 0.9, args.grid)
-    residual = spectrum.eigen_residual(lam, grid=grid, cfg=run_cfg.quadrature())
+    residual = spectrum.eigen_residual(lam, grid=grid, cfg=run_cfg)
     tol = 1e-8 if abs(lam.imag) == 0.0 else 1e-5
     payload = {
         "command": "eigencheck",
@@ -449,6 +436,16 @@ def cmd_norms(args, run_cfg):
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch.
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive int, got {value}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="key=value config file (or set FHT_CONFIG)")
     sub.add_argument("--format", choices=["json", "csv"], dest="fmt")
@@ -470,7 +467,7 @@ def build_parser():
     p.add_argument("--f", required=True, help="function spec, e.g. chebT:[0,1]")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--points", help="comma-separated interior points")
-    group.add_argument("--grid", type=int, help="uniform interior grid size")
+    group.add_argument("--grid", type=_positive_int, help="uniform interior grid size")
     _add_common(p)
     p.set_defaults(func=cmd_transform)
 
@@ -495,7 +492,7 @@ def build_parser():
 
     p = subs.add_parser("eigencheck", help="verify the eigen-relation at lambda")
     p.add_argument("--lambda", dest="lam", required=True, help="re,im")
-    p.add_argument("--grid", type=int, default=20)
+    p.add_argument("--grid", type=_positive_int, default=20)
     _add_common(p)
     p.set_defaults(func=cmd_eigencheck)
 
@@ -508,7 +505,7 @@ def build_parser():
     p = subs.add_parser("norms", help="operator-norm probes")
     p.add_argument("--p", default="1.2,1.5,1.8",
                    help="comma-separated exponents in (1,2)")
-    p.add_argument("--family-size", type=int, default=20)
+    p.add_argument("--family-size", type=_positive_int, default=20)
     p.add_argument("--weighted", help="gamma,delta,p for the weighted probe")
     p.add_argument("--loglog", action="store_true",
                    help="include the L log L -> L^1 probe")

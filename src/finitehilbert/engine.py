@@ -24,6 +24,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import (
+    DegenerateGrid,
     ExponentOutOfRange,
     NoConvergence,
     SingularEvaluation,
@@ -49,10 +50,12 @@ class QuadratureConfig:
     eps_edge: float = 1e-6
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):  # also rejects NaN
             raise ValueError("tolerances must be positive")
         if self.max_panels < 4:
             raise ValueError("max_panels must be >= 4")
+        if not 0.0 < self.eps_edge < 1.0:
+            raise ValueError("eps_edge must lie in (0, 1)")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -69,6 +72,8 @@ def sampled_to_weighted(f, degree=64):
     """Interpolate a sampled function to a Chebyshev series (exponents (0,0))."""
     from scipy.interpolate import CubicSpline
 
+    if len(f) < 2:
+        raise DegenerateGrid("need at least 2 samples to interpolate")
     spline = CubicSpline(f.points, f.values, extrapolate=True)
     series = interpolate_chebyshev(lambda x: complex(spline(x)), degree)
     return EndpointWeightedFunction(0.0, 0.0, series)
@@ -78,7 +83,7 @@ def _is_real(f):
     return bool(getattr(f, "real_valued", False))
 
 
-def _quad(g, a, b, cfg, points=None):
+def _quad(g, a, b, cfg):
     """Adaptive quadrature with the panel budget from cfg; returns (value, err)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -87,7 +92,6 @@ def _quad(g, a, b, cfg, points=None):
             epsabs=0.25 * cfg.abs_tol,
             epsrel=0.25 * cfg.rel_tol,
             limit=cfg.max_panels,
-            points=points,
             full_output=1,
         )
     val, err = out[0], out[1]
@@ -96,11 +100,11 @@ def _quad(g, a, b, cfg, points=None):
     return val, err
 
 
-def _quad_complex(g, a, b, cfg, real_only=False, points=None):
-    re, err_re = _quad(lambda s: g(s).real, a, b, cfg, points=points)
+def _quad_complex(g, a, b, cfg, real_only=False):
+    re, err_re = _quad(lambda s: g(s).real, a, b, cfg)
     if real_only:
         return complex(re), err_re
-    im, err_im = _quad(lambda s: g(s).imag, a, b, cfg, points=points)
+    im, err_im = _quad(lambda s: g(s).imag, a, b, cfg)
     return complex(re, im), err_re + err_im
 
 

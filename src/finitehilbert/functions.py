@@ -8,7 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGrid, ExponentOutOfRange, NonFiniteSample
+from .errors import (
+    DegenerateGrid,
+    ExponentOutOfRange,
+    FunctionSpecError,
+    NonFiniteSample,
+)
 from .series import FIRST_KIND, ChebyshevSeries
 
 DEFAULT_EPS_EDGE = 1e-6
@@ -173,24 +178,32 @@ class IndicatorUnion:
 # ---------------------------------------------------------------------------
 # CSV wire format: header x,re,im with '.' decimals and LF line endings.
 
-def sampled_to_csv(f):
+def table_to_csv(xs, values):
+    """CSV text of real abscissae xs and complex values, one x,re,im row each."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "re", "im"])
-    for x, v in zip(f.points, f.values):
+    for x, v in zip(xs, values):
         writer.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
     return buf.getvalue()
 
 
+def sampled_to_csv(f):
+    return table_to_csv(f.points, f.values)
+
+
 def sampled_from_csv(text, eps_edge=DEFAULT_EPS_EDGE):
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if [h.strip() for h in header] != ["x", "re", "im"]:
-        raise ValueError("expected CSV header x,re,im")
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["x", "re", "im"]:
+        raise FunctionSpecError("expected CSV header x,re,im")
     pts, vals = [], []
     for row in reader:
         if not row:
             continue
-        pts.append(float(row[0]))
-        vals.append(complex(float(row[1]), float(row[2])))
+        try:
+            pts.append(float(row[0]))
+            vals.append(complex(float(row[1]), float(row[2])))
+        except (ValueError, IndexError) as exc:
+            raise FunctionSpecError(f"bad CSV row {row!r}: want three numbers") from exc
     return SampledFunction(np.array(pts), np.array(vals), eps_edge=eps_edge)

@@ -8,6 +8,7 @@ T_n = (U_n - U_{n-2})/2 and U_n = 2(T_n + T_{n-2} + ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct
@@ -52,8 +53,9 @@ class ChebyshevSeries:
     def degree(self):
         return len(self.coeffs) - 1
 
-    @property
+    @cached_property
     def real_valued(self):
+        # computed once: coeffs is never mutated after construction
         return bool(np.all(np.abs(self.coeffs.imag) == 0.0))
 
     def __call__(self, x):

@@ -20,6 +20,7 @@ import numpy as np
 from .engine import DEFAULT_CONFIG, WIDOM, fht_pointwise
 from .errors import (
     BranchViolation,
+    ExponentOutOfRange,
     OutsideEigenvalueSet,
     UnsupportedDescriptor,
 )
@@ -128,7 +129,7 @@ def eigen_residual(lam, grid=None, cfg=DEFAULT_CONFIG, margin=0.05):
         raise OutsideEigenvalueSet(f"lambda = {lam}")
     gamma = gamma_of_lambda(lam)
     if gamma <= 1.0 + margin:
-        raise ValueError(
+        raise ExponentOutOfRange(
             f"gamma = {gamma:.4f} too close to 1; xi is barely integrable"
         )
     if grid is None:
@@ -195,31 +196,16 @@ def empty():
 
 
 @dataclass(frozen=True)
-class SpectralRegion:
-    """The lens-shaped spectral region for exponent p."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 1.0 < self.p < math.inf:
-            raise ValueError("p must lie in (1, inf)")
-
-    def contains(self, lam):
-        return region_contains(self.p, lam)
-
-
-@dataclass(frozen=True)
 class SpaceDescriptor:
     """Identity of a parametric rearrangement-invariant space."""
 
-    kind: str  # lebesgue | lorentz | indexed | catalog
+    kind: str  # lebesgue | lorentz | indexed
     p: float | None = None
     r: float | None = None
     p_index: float | None = None
     q_index: float | None = None
     p_attained: bool = False
     q_attained: bool = False
-    name: str | None = None
 
     @classmethod
     def lebesgue(cls, p):
@@ -250,14 +236,14 @@ class SpaceDescriptor:
 
     @classmethod
     def catalog(cls, name):
-        return cls(kind="catalog", name=name)
+        return resolve_catalog(name)
 
 
 @dataclass(frozen=True)
 class FineSpectrum:
-    """Decomposition of the spectrum into point / residual / continuous parts."""
+    """Point / residual / continuous parts of the spectrum, the region for exponent p."""
 
-    sigma: SpectralRegion
+    p: float
     point: SymbolicSet
     residual: SymbolicSet
     continuous: SymbolicSet
@@ -267,85 +253,61 @@ class FineSpectrum:
                 "continuous": self.continuous}
 
 
-def _lebesgue_spectrum(p):
-    region = SpectralRegion(p)
-    if p < 2.0:
-        return FineSpectrum(region, SymbolicSet(INTERIOR_SET, p), empty(),
-                            SymbolicSet(BOUNDARY_SET, p))
-    if p == 2.0:
-        return FineSpectrum(region, empty(), empty(),
-                            SymbolicSet(CLOSED_UNIT_INTERVAL))
-    return FineSpectrum(region, empty(), SymbolicSet(INTERIOR_SET, p),
-                        SymbolicSet(BOUNDARY_SET, p))
+def _boyd_indices(desc):
+    """(p index, q index, p attained, q attained) of a descriptor (Boyd 1969).
+
+    L^p has indices (p, p), neither attained; L^{p,r} has the same indices,
+    with the q index attained exactly when r = 1.
+    """
+    if desc.kind == "lebesgue":
+        return desc.p, desc.p, False, False
+    if desc.kind == "lorentz":
+        if desc.r == math.inf:
+            raise UnsupportedDescriptor(
+                "weak Lorentz spaces are non-separable; tables cover 1 <= r < inf"
+            )
+        return desc.p, desc.p, False, desc.r == 1.0
+    if desc.kind == "indexed":
+        return desc.p_index, desc.q_index, desc.p_attained, desc.q_attained
+    raise UnsupportedDescriptor(f"unknown descriptor kind {desc.kind!r}")
 
 
-def _lorentz_spectrum(p, r):
-    if r == math.inf:
-        raise UnsupportedDescriptor(
-            "weak Lorentz spaces are non-separable; tables cover 1 <= r < inf"
-        )
-    if p == r:
-        return _lebesgue_spectrum(p)
-    region = SpectralRegion(p)
-    if p < 2.0:
-        return FineSpectrum(region, SymbolicSet(INTERIOR_SET, p), empty(),
-                            SymbolicSet(BOUNDARY_SET, p))
-    if p > 2.0:
-        if r == 1.0:
-            return FineSpectrum(region, empty(),
-                                SymbolicSet(REGION_MINUS_ENDPOINTS, p),
-                                SymbolicSet(ENDPOINTS_ONLY))
-        return FineSpectrum(region, empty(), SymbolicSet(INTERIOR_SET, p),
-                            SymbolicSet(BOUNDARY_SET, p))
-    # p == 2
-    if r == 1.0:
-        return FineSpectrum(region, empty(), SymbolicSet(OPEN_UNIT_INTERVAL),
-                            SymbolicSet(ENDPOINTS_ONLY))
-    return FineSpectrum(region, empty(), empty(),
-                        SymbolicSet(CLOSED_UNIT_INTERVAL))
-
-
-def _indexed_spectrum(desc):
-    s_p, s_q = desc.p_index, desc.q_index
-    region = SpectralRegion(s_p)
+def _indexed_spectrum(s_p, s_q, p_attained, q_attained):
+    """The fine-spectrum table, keyed by the Boyd indices of the space."""
     if s_p == s_q:
         s = s_p
         if s < 2.0:
-            if desc.p_attained:
-                return FineSpectrum(region, SymbolicSet(REGION_MINUS_ENDPOINTS, s),
+            if p_attained:
+                return FineSpectrum(s, SymbolicSet(REGION_MINUS_ENDPOINTS, s),
                                     empty(), SymbolicSet(ENDPOINTS_ONLY))
-            return FineSpectrum(region, SymbolicSet(INTERIOR_SET, s), empty(),
+            return FineSpectrum(s, SymbolicSet(INTERIOR_SET, s), empty(),
                                 SymbolicSet(BOUNDARY_SET, s))
         if s > 2.0:
-            if desc.p_attained or desc.q_attained:
-                return FineSpectrum(region, empty(),
+            if p_attained or q_attained:
+                return FineSpectrum(s, empty(),
                                     SymbolicSet(REGION_MINUS_ENDPOINTS, s),
                                     SymbolicSet(ENDPOINTS_ONLY))
-            return FineSpectrum(region, empty(), SymbolicSet(INTERIOR_SET, s),
+            return FineSpectrum(s, empty(), SymbolicSet(INTERIOR_SET, s),
                                 SymbolicSet(BOUNDARY_SET, s))
         # s == 2: three sub-cases
-        if desc.p_attained:
-            return FineSpectrum(region, SymbolicSet(OPEN_UNIT_INTERVAL), empty(),
+        if p_attained:
+            return FineSpectrum(s, SymbolicSet(OPEN_UNIT_INTERVAL), empty(),
                                 SymbolicSet(ENDPOINTS_ONLY))
-        if desc.q_attained:
-            return FineSpectrum(region, empty(), SymbolicSet(OPEN_UNIT_INTERVAL),
+        if q_attained:
+            return FineSpectrum(s, empty(), SymbolicSet(OPEN_UNIT_INTERVAL),
                                 SymbolicSet(ENDPOINTS_ONLY))
-        return FineSpectrum(region, empty(), empty(),
-                            SymbolicSet(CLOSED_UNIT_INTERVAL))
+        return FineSpectrum(s, empty(), empty(), SymbolicSet(CLOSED_UNIT_INTERVAL))
     # distinct indices
-    if s_p <= 2.0 and desc.p_attained:
-        return FineSpectrum(region, SymbolicSet(REGION_MINUS_ENDPOINTS, s_p),
+    if s_p <= 2.0 and p_attained:
+        return FineSpectrum(s_p, SymbolicSet(REGION_MINUS_ENDPOINTS, s_p),
                             empty(), SymbolicSet(ENDPOINTS_ONLY))
     if s_q <= 2.0 <= s_p:
-        attained_at_two = (s_p == 2.0 and desc.p_attained) or (
-            s_q == 2.0 and desc.q_attained
-        )
+        attained_at_two = (s_p == 2.0 and p_attained) or (s_q == 2.0 and q_attained)
         if not attained_at_two:
-            return FineSpectrum(region, empty(), empty(),
-                                SymbolicSet(WHOLE_REGION, s_p))
+            return FineSpectrum(s_p, empty(), empty(), SymbolicSet(WHOLE_REGION, s_p))
     raise UnsupportedDescriptor(
         f"no table covers indexed(p={s_p:g}, q={s_q:g}, "
-        f"pa={desc.p_attained}, qa={desc.q_attained})"
+        f"pa={p_attained}, qa={q_attained})"
     )
 
 
@@ -372,15 +334,7 @@ def resolve_catalog(name):
 
 def classify_space(desc):
     """Symbolic fine-spectrum decomposition for a supported descriptor."""
-    if desc.kind == "lebesgue":
-        return _lebesgue_spectrum(desc.p)
-    if desc.kind == "lorentz":
-        return _lorentz_spectrum(desc.p, desc.r)
-    if desc.kind == "indexed":
-        return _indexed_spectrum(desc)
-    if desc.kind == "catalog":
-        return classify_space(resolve_catalog(desc.name))
-    raise UnsupportedDescriptor(f"unknown descriptor kind {desc.kind!r}")
+    return _indexed_spectrum(*_boyd_indices(desc))
 
 
 RESOLVENT = "resolvent"
@@ -397,9 +351,10 @@ def classify_point(desc, lam):
         if part.contains(lam):
             label = name
             break
-    if label == POINT and desc.kind == "indexed":
+    if label == POINT:
+        p_index, _, p_attained, _ = _boyd_indices(desc)
         gamma = gamma_of_lambda(lam)
-        member = (desc.p_index <= gamma) if desc.p_attained else (desc.p_index < gamma)
+        member = (p_index <= gamma) if p_attained else (p_index < gamma)
         if not member:
             raise UnsupportedDescriptor(
                 "table and eigenfunction membership disagree; descriptor invalid"
@@ -426,9 +381,9 @@ def partition_check(fs, n=200, seed=0):
     if isinstance(fs, SpaceDescriptor):
         fs = classify_space(fs)
     rng = np.random.default_rng(seed)
-    for lam in sample_region(fs.sigma.p, n, rng):
+    for lam in sample_region(fs.p, n, rng):
         hits = [name for name, part in fs.parts().items() if part.contains(lam)]
-        in_sigma = fs.sigma.contains(lam) != OUTSIDE
+        in_sigma = region_contains(fs.p, lam) != OUTSIDE
         if len(hits) > 1:
             return False, f"parts overlap at {lam}: {hits}"
         if in_sigma and not hits:

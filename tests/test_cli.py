@@ -225,3 +225,43 @@ def test_csv_spec_input(tmp_path, capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["table"][0]["re"] == pytest.approx(2.0 / math.pi, abs=1e-5)
+
+
+_CSV_ARGV = ["transform", "--f", "csv:{file}", "--points", "0"]
+_CONFIG_ARGV = ["transform", "--f", "poly:[0,1]", "--points", "0", "--config", "{file}"]
+
+
+@pytest.mark.parametrize("argv, file_text", [
+    pytest.param(["transform", "--f", "poly:[0,1]", "--grid", "0"], None,
+                 id="transform-grid-0"),
+    pytest.param(["transform", "--f", "poly:[0,1]", "--grid", "-2"], None,
+                 id="transform-grid-negative"),
+    pytest.param(["eigencheck", "--lambda", "0,0", "--grid", "0"], None,
+                 id="eigencheck-grid-0"),
+    pytest.param(["norms", "--p", "1.5", "--family-size", "0"], None,
+                 id="norms-family-size-0"),
+    pytest.param(["eigencheck", "--lambda", "0,100"], None,
+                 id="eigencheck-gamma-near-1"),
+    pytest.param(_CSV_ARGV, "a,b,c\n0.1,1,0\n", id="csv-wrong-header"),
+    pytest.param(_CSV_ARGV, "", id="csv-empty"),
+    pytest.param(_CSV_ARGV, "x,re,im\n0.1,abc,0\n", id="csv-non-numeric"),
+    pytest.param(_CSV_ARGV, "x,re,im\n0.1,1\n", id="csv-short-row"),
+    pytest.param(_CSV_ARGV, "x,re,im\n0.1,1,0\n", id="csv-one-sample"),
+    pytest.param(_CONFIG_ARGV, "abs_tol = 0\n", id="config-zero-tolerance"),
+    pytest.param(_CONFIG_ARGV, "max_panels = abc\n", id="config-bad-int"),
+    pytest.param(_CONFIG_ARGV, "rel_tol = nan\n", id="config-nan-tolerance"),
+    pytest.param(["transform", "--f", "poly:[0,1]", "--points", "1.5",
+                  "--config", "{file}"], "eps_edge = -1\n", id="config-negative-edge"),
+])
+def test_invalid_input_exits_2(tmp_path, capsys, argv, file_text):
+    if file_text is not None:
+        path = tmp_path / "input"
+        path.write_text(file_text)
+        argv = [tok.replace("{file}", str(path)) for tok in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argument at parse time
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert "Traceback" not in err

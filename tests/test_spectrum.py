@@ -160,6 +160,7 @@ def test_catalog_resolution():
     assert desc.kind == "lebesgue" and desc.p == 2.0
     desc = resolve_catalog("lorentz:1.5,3")
     assert desc.kind == "lorentz" and desc.r == 3.0
+    assert SpaceDescriptor.catalog("lorentz:1.5,3") == desc
     desc = resolve_catalog("indexed:3,1.5,yes,0")
     assert (desc.kind, desc.p_index, desc.q_index) == ("indexed", 3.0, 1.5)
     assert (desc.p_attained, desc.q_attained) == (True, False)
