@@ -1,7 +1,6 @@
 """Numerical toolkit for the finite Hilbert transform on (-1,1)."""
 
 from .airfoil import (
-    AirfoilSolution,
     RoundTripReport,
     solvability_residual,
     solve_high,

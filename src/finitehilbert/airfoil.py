@@ -28,27 +28,6 @@ LOW = "low"
 HIGH = "high"
 
 SOLVABILITY_TOL = 1e-8
-DEFAULT_RHS_DEGREE = 64
-
-
-@dataclass(frozen=True)
-class AirfoilSolution:
-    """particular + C/w (low regime) or the unique solution (high regime)."""
-
-    particular: EndpointWeightedFunction
-    homogeneous_coefficient: complex | None
-    regime: str
-
-    def solution(self):
-        """The full solution with the homogeneous part folded in."""
-        if self.regime == HIGH or not self.homogeneous_coefficient:
-            return self.particular
-        coeffs = self.particular.smooth.coeffs.copy()
-        coeffs[0] += self.homogeneous_coefficient
-        return EndpointWeightedFunction(
-            self.particular.a, self.particular.b,
-            ChebyshevSeries(coeffs, self.particular.smooth.basis),
-        )
 
 
 @dataclass(frozen=True)
@@ -57,57 +36,57 @@ class RoundTripReport:
     constant_recovered: complex | None
 
 
-def _prepare_rhs(g, cfg, degree):
-    g = _as_callable(g, degree=degree)
+def _prepare_rhs(g):
+    g = _as_callable(g)
     if not isinstance(g, EndpointWeightedFunction):
         raise UnsupportedExponents("right-hand side must be series-backed or sampled")
     return g
 
 
-def solve_low(g, C=0.0, cfg=DEFAULT_CONFIG, degree=DEFAULT_RHS_DEGREE):
-    """All solutions of T(f) = g in the small-index regime: f = -(1/w)T(gw) + C/w."""
-    g = _prepare_rhs(g, cfg, degree)
-    particular = fht_hat(g, cfg=cfg, degree=degree)
-    return AirfoilSolution(particular=particular,
-                           homogeneous_coefficient=complex(C), regime=LOW)
+def solve_low(g, C=0.0, cfg=DEFAULT_CONFIG):
+    """The solution -(1/w)T(gw) + C/w of T(f) = g in the small-index regime."""
+    particular = fht_hat(_prepare_rhs(g), cfg=cfg)
+    C = complex(C)
+    if not C:
+        return particular
+    coeffs = particular.smooth.coeffs.copy()
+    coeffs[0] += C
+    return EndpointWeightedFunction(
+        particular.a, particular.b,
+        ChebyshevSeries(coeffs, particular.smooth.basis),
+    )
 
 
-def solvability_residual(g, cfg=DEFAULT_CONFIG, degree=DEFAULT_RHS_DEGREE):
+def solvability_residual(g, cfg=DEFAULT_CONFIG):
     """|(1/pi) int g/w|; zero iff g lies in the range of T in the high regime."""
-    g = _prepare_rhs(g, cfg, degree)
-    over_w = g.shifted_exponents(-0.5, -0.5)
+    over_w = _prepare_rhs(g).shifted_exponents(-0.5, -0.5)
     return abs(complex(integrate_unit(over_w, cfg))) / math.pi
 
 
-def solve_high(g, cfg=DEFAULT_CONFIG, degree=DEFAULT_RHS_DEGREE,
-               solvability_tol=SOLVABILITY_TOL):
+def solve_high(g, cfg=DEFAULT_CONFIG):
     """The unique solution f = -w T(g/w); requires int g/w = 0."""
-    g = _prepare_rhs(g, cfg, degree)
-    residual = solvability_residual(g, cfg, degree)
-    if residual > solvability_tol:
+    g = _prepare_rhs(g)
+    residual = solvability_residual(g, cfg)
+    if residual > SOLVABILITY_TOL:
         raise NotSolvable(residual)
-    particular = fht_check(g, cfg=cfg, degree=degree)
-    return AirfoilSolution(particular=particular, homogeneous_coefficient=None,
-                           regime=HIGH)
+    return fht_check(g)
 
 
-def verify_roundtrip(g, regime, C=0.0, cfg=DEFAULT_CONFIG, n_points=20,
-                     degree=DEFAULT_RHS_DEGREE):
+def verify_roundtrip(g, regime, C=0.0, cfg=DEFAULT_CONFIG):
     """Apply T by quadrature to the computed solution and report the residual.
 
     The round trip deliberately uses the principal-value quadrature engine, not
     the spectral rules that produced the solution, so the two routes check each
     other.
     """
-    g = _prepare_rhs(g, cfg, degree)
+    g = _prepare_rhs(g)
     if regime == LOW:
-        sol = solve_low(g, C=C, cfg=cfg, degree=degree)
+        f = solve_low(g, C=C, cfg=cfg)
     elif regime == HIGH:
-        sol = solve_high(g, cfg=cfg, degree=degree)
+        f = solve_high(g, cfg=cfg)
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    f = sol.solution()
-    grid = np.linspace(-0.95, 0.95, n_points)
+    grid = np.linspace(-0.95, 0.95, 20)
     residual = max(abs(fht_pointwise(f, t, cfg) - complex(g(t))) for t in grid)
     constant = None
     if regime == LOW:

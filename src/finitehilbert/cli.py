@@ -197,7 +197,11 @@ def load_run_config(path=None, overrides=None):
 def _emit(text, output):
     if output is None:
         sys.stdout.write(text)
-        return
+    else:
+        _write_atomic(text, output)
+
+
+def _write_atomic(text, output):
     directory = os.path.dirname(os.path.abspath(output))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fht-")
     try:
@@ -236,40 +240,39 @@ def _parse_points(args, eps_edge):
     return pts
 
 
+# Each cmd_* returns (payload, exit code); main renders and writes the payload.
+# A payload is a JSON-ready dict, or the finished text of a CSV table.
+
 def cmd_transform(args, run_cfg):
     spec = parse_function_spec(args.f)
     pts = _parse_points(args, run_cfg.eps_edge)
     image = transform(spec.to_function(), run_cfg.convention, run_cfg)
     values = np.asarray(image(np.asarray(pts)), dtype=complex)
     if run_cfg.fmt == "csv":
-        _emit(table_to_csv(pts, values), args.output)
-    else:
-        payload = {
-            "command": "transform",
-            "convention": run_cfg.convention,
-            "spec": spec.to_string(),
-            "table": [
-                {"x": float(t), "re": v.real, "im": v.imag}
-                for t, v in zip(pts, values)
-            ],
-        }
-        _emit(_json_text(payload, not args.no_timestamp), args.output)
-    return 0
+        return table_to_csv(pts, values), 0
+    return {
+        "command": "transform",
+        "convention": run_cfg.convention,
+        "spec": spec.to_string(),
+        "table": [
+            {"x": float(t), "re": v.real, "im": v.imag}
+            for t, v in zip(pts, values)
+        ],
+    }, 0
 
 
 def cmd_invert(args, run_cfg):
     spec = parse_function_spec(args.g)
     g = spec.to_function()
     if args.regime == airfoil.LOW:
-        sol = airfoil.solve_low(g, C=complex(args.constant), cfg=run_cfg)
+        solution = airfoil.solve_low(g, C=complex(args.constant), cfg=run_cfg)
     else:
-        sol = airfoil.solve_high(g, cfg=run_cfg)
+        solution = airfoil.solve_high(g, cfg=run_cfg)
     report = airfoil.verify_roundtrip(g, args.regime, C=complex(args.constant),
                                       cfg=run_cfg)
-    solution = sol.solution()
-    payload = {
+    return {
         "command": "invert",
-        "regime": sol.regime,
+        "regime": args.regime,
         "rhs": spec.to_string(),
         "solution": spec_of_weighted(solution).to_string(),
         "roundtrip_residual": report.max_residual,
@@ -281,17 +284,7 @@ def cmd_invert(args, run_cfg):
             None if report.constant_recovered is None
             else [report.constant_recovered.real, report.constant_recovered.imag]
         ),
-    }
-    _emit(_json_text(payload, not args.no_timestamp), args.output)
-    return 0
-
-
-def _parse_lambda(text):
-    try:
-        re_part, _, im_part = text.partition(",")
-        return complex(float(re_part), float(im_part or "0"))
-    except ValueError as exc:
-        raise FunctionSpecError(f"bad --lambda value {text!r}") from exc
+    }, 0
 
 
 def cmd_classify(args, run_cfg):
@@ -299,7 +292,7 @@ def cmd_classify(args, run_cfg):
     fs = spectrum.classify_space(desc)
     if args.boundary_csv:
         pts = spectrum.region_boundary_points(fs.p, args.boundary_points)
-        _emit(table_to_csv(range(len(pts)), pts), args.boundary_csv)
+        _write_atomic(table_to_csv(range(len(pts)), pts), args.boundary_csv)
     payload = {
         "command": "classify-spectrum",
         "convention": WIDOM,
@@ -310,20 +303,18 @@ def cmd_classify(args, run_cfg):
         "continuous": fs.continuous.label(),
     }
     if args.lam is not None:
-        lam = _parse_lambda(args.lam)
-        payload["lambda"] = [lam.real, lam.imag]
-        payload["classification"] = spectrum.classify_point(desc, lam)
-    _emit(_json_text(payload, not args.no_timestamp), args.output)
-    return 0
+        payload["lambda"] = [args.lam.real, args.lam.imag]
+        payload["classification"] = spectrum.classify_point(desc, args.lam)
+    return payload, 0
 
 
 def cmd_eigencheck(args, run_cfg):
-    lam = _parse_lambda(args.lam)
+    lam = args.lam
     gamma = spectrum.gamma_of_lambda(lam)
     grid = np.linspace(-0.9, 0.9, args.grid)
     residual = spectrum.eigen_residual(lam, grid=grid, cfg=run_cfg)
     tol = 1e-8 if abs(lam.imag) == 0.0 else 1e-5
-    payload = {
+    return {
         "command": "eigencheck",
         "convention": WIDOM,
         "lambda": [lam.real, lam.imag],
@@ -332,16 +323,14 @@ def cmd_eigencheck(args, run_cfg):
         "max_residual": residual,
         "tolerance": tol,
         "pass": residual <= tol,
-    }
-    _emit(_json_text(payload, not args.no_timestamp), args.output)
-    return 0 if residual <= tol else EXIT_REPORT_FAIL
+    }, 0 if residual <= tol else EXIT_REPORT_FAIL
 
 
 # Identity suites: everything is seeded so reruns are byte-identical.
 
 def _random_poly(rng, degree):
-    coeffs = rng.standard_normal(degree + 1).astype(complex)
-    return EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(coeffs, FIRST_KIND))
+    series, = harness._random_cheb_family(rng, 1, degree)
+    return EndpointWeightedFunction(0.0, 0.0, series)
 
 
 def _random_union(rng, max_intervals=3):
@@ -398,43 +387,39 @@ def cmd_identities(args, run_cfg):
     for name in names:
         reports.extend(r.as_dict() for r in _SUITES[name](rng))
     all_pass = all(r["pass"] for r in reports)
-    payload = {
+    return {
         "command": "identities",
         "suite": args.suite,
         "seed": run_cfg.seed,
         "reports": reports,
         "pass": all_pass,
-    }
-    _emit(_json_text(payload, not args.no_timestamp), args.output)
-    return 0 if all_pass else EXIT_REPORT_FAIL
+    }, 0 if all_pass else EXIT_REPORT_FAIL
 
 
 def cmd_norms(args, run_cfg):
-    ps = [float(tok) for tok in args.p.split(",")]
     reports = [
         harness.norm_probe(p, family_size=args.family_size, seed=run_cfg.seed)
-        for p in ps
+        for p in args.p
     ]
     if args.weighted:
-        gamma, delta, p = (float(tok) for tok in args.weighted.split(","))
+        gamma, delta, p = args.weighted
         reports.append(harness.khvedelidze_probe(gamma, delta, p,
                                                  family_size=args.family_size,
                                                  seed=run_cfg.seed))
     if args.loglog:
         reports.append(harness.loglog_probe(seed=run_cfg.seed))
     all_pass = all(r.passed for r in reports)
-    payload = {
+    return {
         "command": "norms",
         "seed": run_cfg.seed,
         "reports": [r.as_dict() for r in reports],
         "pass": all_pass,
-    }
-    _emit(_json_text(payload, not args.no_timestamp), args.output)
-    return 0 if all_pass else EXIT_REPORT_FAIL
+    }, 0 if all_pass else EXIT_REPORT_FAIL
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing and dispatch.
+# Argument parsing and dispatch.  Each subcommand registers only the flags it
+# reads, and argument types reject malformed values at parse time (exit 2).
 
 def _positive_int(text):
     try:
@@ -446,11 +431,32 @@ def _positive_int(text):
     return value
 
 
+def _float_list(text):
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid comma-separated floats: {text!r}") from None
+
+
+def _float_triple(text):
+    values = _float_list(text)
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(f"need exactly three floats, got {text!r}")
+    return values
+
+
+def _complex_pair(text):
+    """re[,im] as a complex number; a missing imaginary part is 0."""
+    re_part, _, im_part = text.partition(",")
+    try:
+        return complex(float(re_part), float(im_part or "0"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid re[,im] value: {text!r}") from None
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="key=value config file (or set FHT_CONFIG)")
-    sub.add_argument("--format", choices=["json", "csv"], dest="fmt")
-    sub.add_argument("--convention", choices=[TRICOMI, WIDOM])
-    sub.add_argument("--seed", type=int)
     sub.add_argument("--output", help="write output atomically to this path")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp field from JSON output")
@@ -468,6 +474,8 @@ def build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--points", help="comma-separated interior points")
     group.add_argument("--grid", type=_positive_int, help="uniform interior grid size")
+    p.add_argument("--format", choices=["json", "csv"], dest="fmt")
+    p.add_argument("--convention", choices=[TRICOMI, WIDOM])
     _add_common(p)
     p.set_defaults(func=cmd_transform)
 
@@ -479,19 +487,21 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_invert)
 
-    for name in ("classify-spectrum", "classify"):
-        p = subs.add_parser(name, help="fine-spectrum classification")
-        p.add_argument("--space", required=True,
-                       help="lebesgue:p | lorentz:p,r | indexed:pX,qX,pa,qa")
-        p.add_argument("--lambda", dest="lam", help="point to classify, re,im")
-        p.add_argument("--boundary-csv",
-                       help="also write the region boundary polyline to this path")
-        p.add_argument("--boundary-points", type=int, default=400)
-        _add_common(p)
-        p.set_defaults(func=cmd_classify)
+    p = subs.add_parser("classify-spectrum", aliases=["classify"],
+                        help="fine-spectrum classification")
+    p.add_argument("--space", required=True,
+                   help="lebesgue:p | lorentz:p,r | indexed:pX,qX,pa,qa")
+    p.add_argument("--lambda", dest="lam", type=_complex_pair,
+                   help="point to classify, re,im")
+    p.add_argument("--boundary-csv",
+                   help="also write the region boundary polyline to this path")
+    p.add_argument("--boundary-points", type=_positive_int, default=400)
+    _add_common(p)
+    p.set_defaults(func=cmd_classify)
 
     p = subs.add_parser("eigencheck", help="verify the eigen-relation at lambda")
-    p.add_argument("--lambda", dest="lam", required=True, help="re,im")
+    p.add_argument("--lambda", dest="lam", type=_complex_pair, required=True,
+                   help="re,im")
     p.add_argument("--grid", type=_positive_int, default=20)
     _add_common(p)
     p.set_defaults(func=cmd_eigencheck)
@@ -499,50 +509,53 @@ def build_parser():
     p = subs.add_parser("identities", help="run identity suites")
     p.add_argument("--suite", required=True,
                    choices=sorted(_SUITES) + ["all"])
+    p.add_argument("--seed", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_identities)
 
     p = subs.add_parser("norms", help="operator-norm probes")
-    p.add_argument("--p", default="1.2,1.5,1.8",
+    p.add_argument("--p", type=_float_list, default="1.2,1.5,1.8",
                    help="comma-separated exponents in (1,2)")
     p.add_argument("--family-size", type=_positive_int, default=20)
-    p.add_argument("--weighted", help="gamma,delta,p for the weighted probe")
+    p.add_argument("--weighted", type=_float_triple,
+                   help="gamma,delta,p for the weighted probe")
     p.add_argument("--loglog", action="store_true",
                    help="include the L log L -> L^1 probe")
+    p.add_argument("--seed", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_norms)
 
     return parser
 
 
+# (exception types, exit code, stderr label); the first matching row wins, so
+# the FhtError catch-all comes last.  ValueError is not mapped: program defects
+# raise it as well as bad input, and its traceback keeps the defects visible.
+_EXIT_TABLE = (
+    ((FunctionSpecError, OSError), EXIT_PARSE, "parse error"),
+    ((NoConvergence, SingularEvaluation), EXIT_QUADRATURE, "quadrature failure"),
+    ((NotSolvable,), EXIT_NOT_SOLVABLE, "not solvable"),
+    ((UnsupportedDescriptor,), EXIT_DESCRIPTOR, "unsupported descriptor"),
+    ((FhtError,), EXIT_PARSE, "error"),
+)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         run_cfg = load_run_config(args.config, {
-            "fmt": args.fmt,
-            "convention": args.convention,
-            "seed": args.seed,
+            key: getattr(args, key, None) for key in ("fmt", "convention", "seed")
         })
-        # spectral statements are stated for T/i; these commands pin it
-        if args.command in ("classify-spectrum", "classify", "eigencheck"):
-            run_cfg = replace(run_cfg, convention=WIDOM)
-        return args.func(args, run_cfg)
-    except (FunctionSpecError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NoConvergence, SingularEvaluation) as exc:
-        print(f"quadrature failure: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
-    except NotSolvable as exc:
-        print(f"not solvable: residual {exc.residual:.6e}", file=sys.stderr)
-        return EXIT_NOT_SOLVABLE
-    except UnsupportedDescriptor as exc:
-        print(f"unsupported descriptor: {exc}", file=sys.stderr)
-        return EXIT_DESCRIPTOR
-    except FhtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        payload, code = args.func(args, run_cfg)
+        if not isinstance(payload, str):
+            payload = _json_text(payload, not args.no_timestamp)
+        _emit(payload, args.output)
+        return code
+    except (FhtError, OSError) as exc:
+        code, label = next((code, label) for types, code, label in _EXIT_TABLE
+                           if isinstance(exc, types))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

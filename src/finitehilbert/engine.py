@@ -60,22 +60,26 @@ class QuadratureConfig:
 
 DEFAULT_CONFIG = QuadratureConfig()
 
+# Degree of every Chebyshev re-interpolation: of sampled input and of the
+# quadrature route of fht_hat.
+INTERP_DEGREE = 64
 
-def _as_callable(f, degree=64):
+
+def _as_callable(f):
     """Normalize supported inputs to an evaluable function on (-1,1)."""
     if isinstance(f, SampledFunction):
-        return sampled_to_weighted(f, degree=degree)
+        return sampled_to_weighted(f)
     return f
 
 
-def sampled_to_weighted(f, degree=64):
+def sampled_to_weighted(f):
     """Interpolate a sampled function to a Chebyshev series (exponents (0,0))."""
     from scipy.interpolate import CubicSpline
 
     if len(f) < 2:
         raise DegenerateGrid("need at least 2 samples to interpolate")
     spline = CubicSpline(f.points, f.values, extrapolate=True)
-    series = interpolate_chebyshev(lambda x: complex(spline(x)), degree)
+    series = interpolate_chebyshev(lambda x: complex(spline(x)), INTERP_DEGREE)
     return EndpointWeightedFunction(0.0, 0.0, series)
 
 
@@ -216,35 +220,34 @@ def fht_spectral(f, convention=TRICOMI):
     return result
 
 
-def fht_hat(g, cfg=DEFAULT_CONFIG, degree=64):
+def fht_hat(g, cfg=DEFAULT_CONFIG):
     """The pseudo-inverse -(1/w) T(g w).
 
     For a plain series input (exponents (0,0)) the spectral rule
     sum b_n U_n -> (1/w) sum b_n T_{n+1} is exact; other inputs go through
     quadrature and re-interpolation.
     """
-    g = _as_callable(g, degree=degree)
-    if isinstance(g, EndpointWeightedFunction) and _exponents_close(g, 0.0, 0.0):
-        uc = g.smooth.to_basis(SECOND_KIND).coeffs
-        out = np.zeros(len(uc) + 1, dtype=complex)
-        out[1:] = uc
-        return EndpointWeightedFunction(-0.5, -0.5, ChebyshevSeries(out, FIRST_KIND))
+    g = _as_callable(g)
     if not isinstance(g, EndpointWeightedFunction):
         raise UnsupportedExponents("fht_hat needs a series-backed function")
+    if _exponents_close(g, 0.0, 0.0):
+        # negated after the U conversion, so zero coefficients keep their sign
+        uc = g.smooth.to_basis(SECOND_KIND).coeffs
+        gw = EndpointWeightedFunction(0.5, 0.5, ChebyshevSeries(-uc, SECOND_KIND))
+        return EndpointWeightedFunction(-0.5, -0.5, fht_spectral(gw).smooth)
     gw = g.shifted_exponents(0.5, 0.5)
-    tgw = interpolate_chebyshev(lambda x: fht_pointwise(gw, x, cfg), degree)
+    tgw = interpolate_chebyshev(lambda x: fht_pointwise(gw, x, cfg), INTERP_DEGREE)
     return EndpointWeightedFunction(-0.5, -0.5, tgw * (-1.0))
 
 
-def fht_check(g, cfg=DEFAULT_CONFIG, degree=64):
+def fht_check(g):
     """The pseudo-inverse -w T(g/w); spectral rule sum a_n T_n -> -w sum_{n>=1} a_n U_{n-1}."""
-    g = _as_callable(g, degree=degree)
+    g = _as_callable(g)
     if not (isinstance(g, EndpointWeightedFunction) and _exponents_close(g, 0.0, 0.0)):
         raise UnsupportedExponents("fht_check needs a plain (0,0) series input")
     tc = g.smooth.to_basis(FIRST_KIND).coeffs
-    out = np.zeros(max(len(tc) - 1, 1), dtype=complex)
-    out[: len(tc) - 1] = -tc[1:]
-    return EndpointWeightedFunction(0.5, 0.5, ChebyshevSeries(out, SECOND_KIND))
+    g_over_w = EndpointWeightedFunction(-0.5, -0.5, ChebyshevSeries(-tc, FIRST_KIND))
+    return EndpointWeightedFunction(0.5, 0.5, fht_spectral(g_over_w).smooth)
 
 
 def project_P(f, cfg=DEFAULT_CONFIG):

@@ -33,7 +33,7 @@ class NotSolvable(FhtError):
     """Right-hand side fails the high-regime solvability condition."""
 
     def __init__(self, residual):
-        super().__init__(f"solvability residual {residual:.3e} exceeds tolerance")
+        super().__init__(f"residual {residual:.6e}")
         self.residual = residual
 
 

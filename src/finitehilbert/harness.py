@@ -96,14 +96,10 @@ def check_poincare_bertrand(f, g, grid=None, cfg=None):
     Tf = transform(f)
     Tg = transform(g)
 
-    class _Inner:
+    def inner(x):
         # Hoelder at interior points; log-singular only at the endpoints
-        real_valued = False
+        return complex(g(x)) * Tf(x) + complex(f(x)) * Tg(x)
 
-        def __call__(self, x):
-            return complex(g(x)) * Tf(x) + complex(f(x)) * Tg(x)
-
-    inner = _Inner()
     residuals, scale = [], 1.0
     for t in grid:
         t = float(t)

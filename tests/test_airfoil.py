@@ -25,15 +25,13 @@ def poly(*coeffs):
 
 def test_low_regime_constant_rhs():
     # T(x/w) = 1, so the C = 0 solution of T(f) = 1 is x/w
-    sol = solve_low(one(), C=0.0)
-    f = sol.solution()
+    f = solve_low(one(), C=0.0)
     assert f.a == -0.5 and f.b == -0.5
     assert np.allclose(f.smooth.coeffs, [0.0, 1.0])
 
 
 def test_low_regime_homogeneous_constant_folds_in():
-    sol = solve_low(one(), C=2.5)
-    f = sol.solution()
+    f = solve_low(one(), C=2.5)
     assert np.allclose(f.smooth.coeffs, [2.5, 1.0])
 
 
@@ -46,8 +44,7 @@ def test_high_regime_rejects_constant():
 
 def test_high_regime_accepts_odd_chebyshev():
     # T_1/w integrates to zero; the solution is -w U_0
-    sol = solve_high(poly(0.0, 1.0))
-    f = sol.solution()
+    f = solve_high(poly(0.0, 1.0))
     assert f.a == 0.5 and f.b == 0.5
     assert np.allclose(f.smooth.coeffs, [-1.0])
 
@@ -79,8 +76,7 @@ def test_roundtrip_high():
 def test_hat_solution_integrates_to_zero():
     rng = np.random.default_rng(9)
     g = poly(*rng.standard_normal(8))
-    sol = solve_low(g, C=0.0)
-    val = complex(integrate_unit(sol.solution()))
+    val = complex(integrate_unit(solve_low(g, C=0.0)))
     # T_hat output has no T_0/w component, and int T_n/w = 0 for n >= 1
     assert abs(val) < 1e-8
 

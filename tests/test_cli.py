@@ -8,6 +8,7 @@ from finitehilbert.cli import (
     EXIT_DESCRIPTOR,
     EXIT_NOT_SOLVABLE,
     EXIT_PARSE,
+    EXIT_QUADRATURE,
     FunctionSpec,
     load_run_config,
     main,
@@ -92,24 +93,10 @@ def test_transform_csv_format(capsys):
     assert float(lines[1].split(",")[1]) == pytest.approx(2.0 / math.pi, abs=1e-9)
 
 
-def test_transform_parse_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "transform", "--f", "junk:[1]",
-                           "--points", "0")
-    assert code == EXIT_PARSE
-    assert "parse error" in err
-
-
 def test_transform_non_interior_point(capsys):
     code, _, _ = run_cli(capsys, "transform", "--f", "poly:[0,1]",
                          "--points", "1.0")
     assert code == EXIT_PARSE
-
-
-def test_invert_not_solvable(capsys):
-    code, _, err = run_cli(capsys, "invert", "--g", "chebT:[1]",
-                           "--regime", "high")
-    assert code == EXIT_NOT_SOLVABLE
-    assert "1.0" in err
 
 
 def test_invert_high(capsys):
@@ -152,11 +139,6 @@ def test_classify_resolvent(capsys):
     code, out, _ = run_cli(capsys, "classify", "--space", "lebesgue:2",
                            "--lambda", "3,0", "--no-timestamp")
     assert json.loads(out)["classification"] == "resolvent"
-
-
-def test_classify_unsupported_descriptor(capsys):
-    code, _, err = run_cli(capsys, "classify", "--space", "lorentz:2,inf")
-    assert code == EXIT_DESCRIPTOR
 
 
 def test_classify_boundary_csv(tmp_path, capsys):
@@ -252,6 +234,20 @@ _CONFIG_ARGV = ["transform", "--f", "poly:[0,1]", "--points", "0", "--config", "
     pytest.param(_CONFIG_ARGV, "rel_tol = nan\n", id="config-nan-tolerance"),
     pytest.param(["transform", "--f", "poly:[0,1]", "--points", "1.5",
                   "--config", "{file}"], "eps_edge = -1\n", id="config-negative-edge"),
+    pytest.param(["norms", "--p", "abc"], None, id="norms-p-not-float"),
+    pytest.param(["norms", "--weighted", "1,2"], None, id="norms-weighted-two-values"),
+    pytest.param(["norms", "--weighted", "a,b,c"], None, id="norms-weighted-not-float"),
+    pytest.param(["classify", "--space", "lebesgue:1.5", "--boundary-points", "0"],
+                 None, id="classify-boundary-points-0"),
+    pytest.param(["classify", "--space", "lebesgue:1.5", "--boundary-points", "-5"],
+                 None, id="classify-boundary-points-negative"),
+    # flags a subcommand does not read are rejected, not silently ignored
+    pytest.param(["invert", "--g", "chebT:[0,1]", "--regime", "high",
+                  "--convention", "widom"], None, id="invert-convention"),
+    pytest.param(["classify", "--space", "lebesgue:1.5", "--format", "csv"], None,
+                 id="classify-format"),
+    pytest.param(["transform", "--f", "poly:[0,1]", "--points", "0", "--seed", "1"],
+                 None, id="transform-seed"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, file_text):
     if file_text is not None:
@@ -265,3 +261,34 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, file_text):
     err = capsys.readouterr().err
     assert code == EXIT_PARSE
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, file_text, code, stderr_start", [
+    pytest.param(["transform", "--f", "junk:[1]", "--points", "0"], None,
+                 EXIT_PARSE, "parse error: ", id="parse-error"),
+    pytest.param(["transform", "--f", "poly:[0,1]", "--points", "0",
+                  "--output", "{tmp}/missing/out.json"], None,
+                 EXIT_PARSE, "parse error: ", id="os-error"),
+    pytest.param(["eigencheck", "--lambda", "2,0"], None,
+                 EXIT_PARSE, "error: ", id="other-error"),
+    pytest.param(["transform", "--f", "weighted:{0.3,-0.4,chebT:[1,2,3]}",
+                  "--points", "0.5", "--config", "{file}"],
+                 "max_panels = 4\nabs_tol = 1e-14\nrel_tol = 1e-14\n",
+                 EXIT_QUADRATURE, "quadrature failure: ", id="quadrature-failure"),
+    pytest.param(["invert", "--g", "chebT:[1]", "--regime", "high"], None,
+                 EXIT_NOT_SOLVABLE, "not solvable: residual 1.000000e+00\n",
+                 id="not-solvable"),
+    pytest.param(["classify", "--space", "lorentz:2,inf"], None,
+                 EXIT_DESCRIPTOR, "unsupported descriptor: ", id="unsupported-descriptor"),
+])
+def test_exit_code_table(tmp_path, capsys, argv, file_text, code, stderr_start):
+    path = tmp_path / "input"
+    if file_text is not None:
+        path.write_text(file_text)
+    argv = [tok.replace("{file}", str(path)).replace("{tmp}", str(tmp_path))
+            for tok in argv]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith(stderr_start)
+    assert err.count("\n") == 1
