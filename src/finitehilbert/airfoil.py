@@ -87,7 +87,7 @@ def verify_roundtrip(g, regime, C=0.0, cfg=DEFAULT_CONFIG):
     else:
         raise ValueError(f"unknown regime {regime!r}")
     grid = np.linspace(-0.95, 0.95, 20)
-    residual = max(abs(fht_pointwise(f, t, cfg) - complex(g(t))) for t in grid)
+    residual = np.max(np.abs(fht_pointwise(f, grid, cfg) - g(grid)))
     constant = None
     if regime == LOW:
         constant = complex(integrate_unit(f, cfg)) / math.pi

@@ -79,7 +79,7 @@ def sampled_to_weighted(f):
     if len(f) < 2:
         raise DegenerateGrid("need at least 2 samples to interpolate")
     spline = CubicSpline(f.points, f.values, extrapolate=True)
-    series = interpolate_chebyshev(lambda x: complex(spline(x)), INTERP_DEGREE)
+    series = interpolate_chebyshev(spline, INTERP_DEGREE)
     return EndpointWeightedFunction(0.0, 0.0, series)
 
 
@@ -154,14 +154,29 @@ def _derivative(f, t, h=1e-6):
 
 
 def fht_pointwise(f, t, cfg=DEFAULT_CONFIG, convention=TRICOMI):
-    """T(f)(t) = (1/pi) p.v. int f(x)/(x-t) dx by singularity subtraction."""
+    """T(f)(t) = (1/pi) p.v. int f(x)/(x-t) dx by singularity subtraction.
+
+    t is a scalar or an array; each point gets its own adaptive quadrature.
+    A scalar t gives a complex scalar, an array t an array of its shape.
+    """
+    if convention not in (TRICOMI, WIDOM):
+        raise ValueError(f"unknown convention {convention!r}")
     f = _as_callable(f)
-    if not -1.0 + cfg.eps_edge <= t <= 1.0 - cfg.eps_edge:
+    ts = np.asarray(t, dtype=float)
+    if not np.all((-1.0 + cfg.eps_edge <= ts) & (ts <= 1.0 - cfg.eps_edge)):
         raise ValueError("t must lie in the interior window")
+    real_only = _is_real(f)
+    values = [_pv_at(f, s, cfg, convention, real_only) for s in ts.ravel().tolist()]
+    if ts.ndim == 0:
+        return values[0]
+    return np.array(values, dtype=complex).reshape(ts.shape)
+
+
+def _pv_at(f, t, cfg, convention, real_only):
+    """The p.v. quadrature of fht_pointwise at one point t."""
     ft = complex(f(t))
     if not np.isfinite(ft):
         raise SingularEvaluation(f"f is not finite at t={t}")
-    real_only = _is_real(f)
     phi = math.acos(t)
     dft = _derivative(f, t, h=min(1e-6, 0.25 * (1.0 - abs(t))))
 
@@ -181,10 +196,8 @@ def fht_pointwise(f, t, cfg=DEFAULT_CONFIG, convention=TRICOMI):
     if err > max(cfg.abs_tol, cfg.rel_tol * abs(result)) * 100.0:
         raise NoConvergence(f"p.v. quadrature error estimate {err:.2e} too large")
     if convention == WIDOM:
-        result = result / 1j
-    elif convention != TRICOMI:
-        raise ValueError(f"unknown convention {convention!r}")
-    if real_only and convention == TRICOMI:
+        return result / 1j
+    if real_only:
         return complex(result.real)
     return result
 
@@ -269,12 +282,13 @@ def project_Q(f, cfg=DEFAULT_CONFIG):
     return EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(np.array([c]), FIRST_KIND))
 
 
-def weighted_transform(gamma, delta, f, t, p=2.0, cfg=DEFAULT_CONFIG,
-                       convention=TRICOMI):
-    """rho(t) T(f/rho)(t) with rho = (1-x)^gamma (1+x)^delta.
+def weighted_transform(gamma, delta, f, t, p=2.0):
+    """rho(t) T(f/rho)(t) with rho = (1-x)^gamma (1+x)^delta; t scalar or array.
 
-    Admissible window: gamma, delta in (-1/p, 1/p') for the declared p.
+    Admissible window: gamma, delta in (-1/p, 1/p') for the declared p > 1.
     """
+    if not p > 1.0:  # also rejects NaN
+        raise ExponentOutOfRange(f"p = {p} must exceed 1")
     pprime = p / (p - 1.0)
     lo, hi = -1.0 / p, 1.0 / pprime
     if not (lo < gamma < hi and lo < delta < hi):
@@ -287,8 +301,9 @@ def weighted_transform(gamma, delta, f, t, p=2.0, cfg=DEFAULT_CONFIG,
     else:
         def over_rho(x):
             return f(x) * (1.0 - x) ** (-gamma) * (1.0 + x) ** (-delta)
+    t = np.asarray(t, dtype=float)
     rho_t = (1.0 - t) ** gamma * (1.0 + t) ** delta
-    return rho_t * fht_pointwise(over_rho, t, cfg, convention)
+    return rho_t * fht_pointwise(over_rho, t)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +367,7 @@ def transform(f, convention=TRICOMI, cfg=DEFAULT_CONFIG):
 
     This is the one place that picks a route: exponents (0,0) use the closed
     form for polynomials, the weights w and 1/w (exponents +-1/2) the spectral
-    rules, and everything else fht_pointwise, one point at a time.  Sampled
+    rules, and everything else fht_pointwise, one quadrature per point.  Sampled
     input is interpolated first.  The evaluator takes a scalar or an array.
     """
     f = _as_callable(f)
@@ -366,5 +381,4 @@ def transform(f, convention=TRICOMI, cfg=DEFAULT_CONFIG):
             return fht_spectral(f, convention=convention)
         except UnsupportedExponents:
             pass
-    return np.vectorize(lambda t: fht_pointwise(f, float(t), cfg, convention),
-                        otypes=[complex])
+    return lambda t: fht_pointwise(f, t, cfg, convention)

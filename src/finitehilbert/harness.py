@@ -6,12 +6,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import roots_legendre
 
 from .engine import (
-    DEFAULT_CONFIG,
     QuadratureConfig,
+    _quad_complex,
     fht_pointwise,
     fht_polynomial,
     transform,
@@ -64,35 +63,35 @@ def _report(name, residuals, scale, tolerance, grid_size):
                           tolerance=tolerance)
 
 
-def check_parseval(f, g, cfg=DEFAULT_CONFIG):
+def check_parseval(f, g):
     """Residual of int f T(g) + int g T(f) = 0 for an admissible pair.
 
     The transforms of polynomial inputs are exact, so the only numerical work
     is the outer integral, whose integrand has at worst log endpoint
-    singularities.
+    singularities.  Both its real and its imaginary part must vanish.
     """
-    Tf = transform(f, cfg=cfg)
-    Tg = transform(g, cfg=cfg)
+    Tf = transform(f)
+    Tg = transform(g)
 
     def integrand(x):
-        return (complex(f(x)) * Tg(x) + complex(g(x)) * Tf(x)).real
+        return complex(f(x)) * Tg(x) + complex(g(x)) * Tf(x)
 
-    val, err = integrate.quad(integrand, -1.0, 1.0, epsabs=1e-10, epsrel=1e-10,
-                              limit=cfg.max_panels)
+    # _quad asks quad for a quarter of the tolerances: epsabs = epsrel = 1e-10
+    cfg = QuadratureConfig(abs_tol=4e-10, rel_tol=4e-10)
+    val, err = _quad_complex(integrand, -1.0, 1.0, cfg)
     scale = max(abs(complex(f(0.0))), abs(complex(g(0.0))), 1.0)
     return _report("parseval", [abs(val)], scale, TOLERANCES["parseval"], 1)
 
 
-def check_poincare_bertrand(f, g, grid=None, cfg=None):
+def check_poincare_bertrand(f, g, grid=None):
     """Pointwise residual of T(g T(f) + f T(g)) = T(f) T(g) - f g on the grid.
 
     The inner transforms of polynomial inputs use the exact closed form; the
     outer transform is adaptive principal-value quadrature with a relaxed
     tolerance, since nested quadrature error compounds.
     """
-    if grid is None:
-        grid = np.linspace(-0.8, 0.8, 10)
-    outer_cfg = cfg or QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8, max_panels=512)
+    grid = np.linspace(-0.8, 0.8, 10) if grid is None else np.asarray(grid, dtype=float)
+    outer_cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8, max_panels=512)
     Tf = transform(f)
     Tg = transform(g)
 
@@ -100,31 +99,31 @@ def check_poincare_bertrand(f, g, grid=None, cfg=None):
         # Hoelder at interior points; log-singular only at the endpoints
         return complex(g(x)) * Tf(x) + complex(f(x)) * Tg(x)
 
-    residuals, scale = [], 1.0
-    for t in grid:
-        t = float(t)
-        lhs = fht_pointwise(inner, t, outer_cfg)
-        rhs = Tf(t) * Tg(t) - complex(f(t)) * complex(g(t))
-        residuals.append(abs(lhs - rhs))
-        scale = max(scale, abs(rhs))
+    lhs = fht_pointwise(inner, grid, outer_cfg)
+    rhs = Tf(grid) * Tg(grid) - f(grid) * g(grid)
+    residuals = np.abs(lhs - rhs)
+    scale = float(np.max(np.abs(rhs), initial=1.0))
     return _report("poincare_bertrand", residuals, scale,
                    TOLERANCES["poincare_bertrand"], len(grid))
 
 
 def hilbert_of_indicator(A, x):
-    """Closed-form line Hilbert transform of the indicator of a union of intervals."""
+    """Closed-form line Hilbert transform of the indicator of a union of intervals.
+
+    x is a scalar or an array.
+    """
     total = 0.0
     for a, b in A.intervals:
-        total += math.log(abs((x - b) / (x - a)))
+        total += np.log(np.abs((x - b) / (x - a)))
     return total / math.pi
 
 
-def _level_set_measure(A, lam, n_seed=4000):
+def _level_set_measure(A, lam):
     """m({x in A : |H(chi_A)(x)| > lam}) by dense sampling plus bisection."""
     measure = 0.0
     for a, b in A.intervals:
-        xs = np.linspace(a, b, n_seed + 2)[1:-1]
-        vals = np.array([abs(hilbert_of_indicator(A, x)) - lam for x in xs])
+        xs = np.linspace(a, b, 4002)[1:-1]  # 4000 interior samples
+        vals = np.abs(hilbert_of_indicator(A, xs)) - lam
         # refine the crossings of |H| - lam between consecutive samples
         crossings = []
         for i in range(len(xs) - 1):
@@ -165,15 +164,15 @@ def check_laeng(A, lambdas=None):
     return _report("laeng", residuals, 1.0, TOLERANCES["laeng"], len(lambdas))
 
 
-def check_kernel(C=1.0, cfg=DEFAULT_CONFIG, n_points=20):
+def check_kernel(C=1.0):
     """sup |T(C/w)| over an interior grid; the kernel is exactly span{1/w}."""
     func = EndpointWeightedFunction(
         -0.5, -0.5, ChebyshevSeries(np.array([complex(C)]), FIRST_KIND)
     )
-    grid = np.linspace(-0.95, 0.95, n_points)
-    residuals = [abs(fht_pointwise(func, float(t), cfg)) for t in grid]
+    grid = np.linspace(-0.95, 0.95, 20)
+    residuals = np.abs(fht_pointwise(func, grid))
     return _report("kernel", residuals, max(abs(complex(C)), 1.0),
-                   TOLERANCES["kernel"], n_points)
+                   TOLERANCES["kernel"], len(grid))
 
 
 @dataclass(frozen=True)
@@ -221,7 +220,7 @@ def _random_cheb_family(rng, size, degree):
         yield ChebyshevSeries(coeffs.astype(complex), FIRST_KIND)
 
 
-def norm_probe(p, family_size=50, seed=0, degree=10):
+def norm_probe(p, family_size=50, seed=0):
     """Empirical operator-norm ratio against the analytic value tan(pi/(2p)).
 
     The transform of each random Chebyshev polynomial is exact (closed form);
@@ -233,7 +232,7 @@ def norm_probe(p, family_size=50, seed=0, degree=10):
     rng = np.random.default_rng(seed)
     bound = math.tan(math.pi / (2.0 * p))
     ratios = []
-    for series in _random_cheb_family(rng, family_size, degree):
+    for series in _random_cheb_family(rng, family_size, 10):
         fv = series(_XGRID)
         tv = fht_polynomial(series.coeffs)(_XGRID)
         ratios.append(_grid_lp(tv, p) / _grid_lp(fv, p))
@@ -253,14 +252,15 @@ def _smoothed_spike(x0, beta, eps=1e-3):
     return func
 
 
-def loglog_probe(family_size=10, seed=7, n_grid=800, cfg=None):
+def loglog_probe(family_size=10, seed=7):
     """sup of ||T f||_1 / ||f||_(L log L) over a spiky family.
 
     There is no closed-form constant here; the probe asserts finiteness and
     stability of the sup under grid refinement of the Zygmund functional.
     """
     rng = np.random.default_rng(seed)
-    cfg = cfg or QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7, max_panels=512)
+    n_grid = 800
+    cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7, max_panels=512)
     tgrid = np.linspace(-0.9, 0.9, 41)
     ratios, ratios_fine = [], []
     for _ in range(family_size):
@@ -272,8 +272,7 @@ def loglog_probe(family_size=10, seed=7, n_grid=800, cfg=None):
         def f(x, spike=spike, amp=amp):
             return amp * spike(x)
 
-        tvals = np.array([fht_pointwise(f, float(t), cfg) for t in tgrid])
-        tf = SampledFunction(tgrid, tvals, eps_edge=0.05)
+        tf = SampledFunction(tgrid, fht_pointwise(f, tgrid, cfg), eps_edge=0.05)
         num = l1_norm(tf)
         den = zygmund_norm(1.0, sample(f, n_grid, spacing="cos"))
         den_fine = zygmund_norm(1.0, sample(f, 2 * n_grid, spacing="cos"))
@@ -288,7 +287,7 @@ def loglog_probe(family_size=10, seed=7, n_grid=800, cfg=None):
                                 "refined_sup_ratio": sup_fine})
 
 
-def khvedelidze_probe(gamma, delta, p, family_size=20, seed=0, degree=8):
+def khvedelidze_probe(gamma, delta, p, family_size=20, seed=0):
     """sup of ||rho T(f/rho)||_p / ||f||_p over random polynomials.
 
     The weighted transform is bounded for exponents inside the admissible
@@ -298,10 +297,9 @@ def khvedelidze_probe(gamma, delta, p, family_size=20, seed=0, degree=8):
     tgrid = np.linspace(-0.9, 0.9, 31)
     dt = tgrid[1] - tgrid[0]
     ratios = []
-    for series in _random_cheb_family(rng, family_size, degree):
+    for series in _random_cheb_family(rng, family_size, 8):
         func = EndpointWeightedFunction(0.0, 0.0, series)
-        tv = np.array([weighted_transform(gamma, delta, func, float(t), p=p)
-                       for t in tgrid])
+        tv = weighted_transform(gamma, delta, func, tgrid, p=p)
         f_norm = _grid_lp(series(_XGRID), p)
         t_norm = float(np.sum(np.abs(tv) ** p * dt) ** (1.0 / p))
         ratios.append(t_norm / f_norm)

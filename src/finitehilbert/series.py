@@ -143,7 +143,7 @@ def interpolate_chebyshev(f, degree):
     if degree < 0:
         raise ValueError("degree must be >= 0")
     nodes = chebyshev_gauss_nodes(degree)
-    vals = np.asarray([complex(f(x)) for x in nodes])
+    vals = np.asarray(f(nodes), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteSample("f is non-finite at a Chebyshev-Gauss node")
     # c_m = (2/n) sum_k f(x_k) cos(m theta_k), with the m=0 term halved: a DCT-II

@@ -123,24 +123,22 @@ def xi_eval(lam, x):
     return complex(xi_function(lam)(x))
 
 
-def eigen_residual(lam, grid=None, cfg=DEFAULT_CONFIG, margin=0.05):
+def eigen_residual(lam, grid=None, cfg=DEFAULT_CONFIG):
     """sup over the grid of |(T/i)(xi)(t) - lambda xi(t)| / (1 + |xi(t)|)."""
     if not in_eigenvalue_set(lam):
         raise OutsideEigenvalueSet(f"lambda = {lam}")
     gamma = gamma_of_lambda(lam)
-    if gamma <= 1.0 + margin:
+    if gamma <= 1.05:
         raise ExponentOutOfRange(
             f"gamma = {gamma:.4f} too close to 1; xi is barely integrable"
         )
     if grid is None:
         grid = np.linspace(-0.9, 0.9, 20)
     xi = xi_function(lam)
-    worst = 0.0
-    for t in grid:
-        lhs = fht_pointwise(xi, float(t), cfg, convention=WIDOM)
-        val = complex(xi(float(t)))
-        worst = max(worst, abs(lhs - complex(lam) * val) / (1.0 + abs(val)))
-    return worst
+    lhs = fht_pointwise(xi, grid, cfg, convention=WIDOM)
+    val = xi(grid)
+    return float(np.max(np.abs(lhs - complex(lam) * val) / (1.0 + np.abs(val)),
+                        initial=0.0))
 
 
 # ---------------------------------------------------------------------------

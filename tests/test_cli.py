@@ -237,6 +237,8 @@ _CONFIG_ARGV = ["transform", "--f", "poly:[0,1]", "--points", "0", "--config", "
     pytest.param(["norms", "--p", "abc"], None, id="norms-p-not-float"),
     pytest.param(["norms", "--weighted", "1,2"], None, id="norms-weighted-two-values"),
     pytest.param(["norms", "--weighted", "a,b,c"], None, id="norms-weighted-not-float"),
+    pytest.param(["norms", "--p", "1.5", "--family-size", "2", "--weighted", "0.1,0.1,1"],
+                 None, id="norms-weighted-p-1"),
     pytest.param(["classify", "--space", "lebesgue:1.5", "--boundary-points", "0"],
                  None, id="classify-boundary-points-0"),
     pytest.param(["classify", "--space", "lebesgue:1.5", "--boundary-points", "-5"],

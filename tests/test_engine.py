@@ -140,6 +140,10 @@ def _dispatch_cases():
         "jacobi": EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries(coeffs.real, FIRST_KIND)),
         "sampled": SampledFunction(np.linspace(-0.99, 0.99, 81),
                                    np.linspace(-0.99, 0.99, 81) ** 3 - 0.5),
+        # a scalar-only callable and complex exponents: quadrature routes
+        "callable": lambda x: math.exp(x) * math.sqrt(1.0 - x * x),
+        "complex_exponents": EndpointWeightedFunction(
+            -0.3 + 0.2j, -0.7 - 0.2j, ChebyshevSeries(coeffs[:2], FIRST_KIND)),
     }
     for weight, a in (("w", 0.5), ("1/w", -0.5)):
         for basis in (FIRST_KIND, SECOND_KIND):
@@ -155,11 +159,15 @@ def test_transform_dispatcher_routes(name, convention):
     image = transform(func, convention)
     ts = np.linspace(-0.9, 0.9, 7)
     values = np.asarray(image(ts), dtype=complex)
-    assert values.shape == ts.shape
-    for t, v in zip(ts, values):
+    pointwise = fht_pointwise(func, ts, convention=convention)
+    assert values.shape == pointwise.shape == ts.shape
+    for t, v, p in zip(ts, values, pointwise):
         scalar = complex(image(float(t)))
         assert abs(v - scalar) <= 1e-14 * max(1.0, abs(scalar))
-        ref = complex(fht_pointwise(func, float(t), convention=convention))
+        ref = fht_pointwise(func, float(t), convention=convention)
+        assert isinstance(ref, complex)
+        # one array call runs the same quadrature as the scalar calls
+        assert p == ref
         assert abs(v - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
@@ -191,14 +199,22 @@ def test_projections():
 
 
 def test_weighted_transform_window():
-    with pytest.raises(ExponentOutOfRange):
-        weighted_transform(0.9, 0.0, one(), 0.0, p=2.0)
+    # outside the window, and p <= 1 where the window is empty
+    for gamma, delta, p in ((0.9, 0.0, 2.0), (0.1, 0.1, 1.0), (0.1, 0.1, 0.5)):
+        with pytest.raises(ExponentOutOfRange):
+            weighted_transform(gamma, delta, one(), 0.0, p=p)
     # gamma = delta = 0 reduces to the plain transform
     v = weighted_transform(0.0, 0.0, sqrt_weight(), 0.25, p=2.0)
     assert v == pytest.approx(-0.25, abs=1e-9)
     # the T_hat regime: gamma = delta = -1/2 at p = 1.5
     v = weighted_transform(-0.5, -0.5, sqrt_weight(), 0.25, p=1.5)
     assert np.isfinite(v)
+    # an array t gives exactly the values of the scalar calls
+    ts = np.linspace(-0.9, 0.9, 5)
+    values = weighted_transform(0.2, -0.1, sqrt_weight(), ts, p=2.0)
+    assert values.shape == ts.shape
+    assert list(values) == [weighted_transform(0.2, -0.1, sqrt_weight(), float(t), p=2.0)
+                            for t in ts]
 
 
 def test_sampled_input_goes_through_interpolation():

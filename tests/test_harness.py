@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from finitehilbert import harness
 from finitehilbert.errors import DegenerateSet
 from finitehilbert.functions import EndpointWeightedFunction, IndicatorUnion, one, sqrt_weight
 from finitehilbert.harness import (
@@ -40,6 +41,17 @@ def test_parseval_zero_function():
     assert r.max_abs_residual < 1e-12
 
 
+def test_parseval_checks_imaginary_part(monkeypatch):
+    # images off by 1e-3 i leave the real part of the identity intact; the
+    # imaginary part is 1e-3 * int (1 + w) = 1e-3 * (2 + pi/2)
+    exact = harness.transform
+    monkeypatch.setattr(harness, "transform",
+                        lambda f: (lambda x, image=exact(f): image(x) + 1e-3j))
+    r = check_parseval(one(), sqrt_weight())
+    assert r.max_abs_residual == pytest.approx(1e-3 * (2.0 + math.pi / 2.0), rel=1e-6)
+    assert not r.passed
+
+
 def test_parseval_swap_symmetry():
     f, g = poly(1.0, 0.5), poly(0.0, -0.3, 0.2)
     r1 = check_parseval(f, g)
@@ -63,6 +75,13 @@ def test_hilbert_of_indicator_closed_form():
     x = 0.25
     expected = math.log(abs((x - 1.0) / x)) / math.pi
     assert hilbert_of_indicator(A, x) == pytest.approx(expected, abs=1e-14)
+    # an array x agrees with the scalar calls to 1 ulp
+    A = IndicatorUnion(((-0.7, -0.2), (0.0, 1.0)))
+    xs = np.linspace(-0.95, 1.35, 200)
+    values = hilbert_of_indicator(A, xs)
+    scalars = np.array([hilbert_of_indicator(A, float(x)) for x in xs])
+    assert values.shape == xs.shape
+    assert np.all(np.abs(values - scalars) <= np.spacing(np.abs(scalars)))
 
 
 def test_laeng_single_interval():
