@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import airfoil, harness, spectrum
-from .engine import TRICOMI, WIDOM, QuadratureConfig, transform
+from .engine import DEFAULT_CONFIG, TRICOMI, WIDOM, sampled_to_weighted, transform
 from .errors import (
     FhtError,
     FunctionSpecError,
@@ -94,12 +94,14 @@ class FunctionSpec:
         return f"weighted:{{{_fmt_num(self.a)},{_fmt_num(self.b)},{tag}:[{body}]}}"
 
     def to_function(self):
+        """The function the spec names; sampled data comes back interpolated."""
         if self.kind == "csv":
             try:
                 with open(self.path, newline="") as fh:
-                    return sampled_from_csv(fh.read())
+                    text = fh.read()
             except OSError as exc:
                 raise FunctionSpecError(f"cannot read {self.path}: {exc}") from exc
+            return sampled_to_weighted(sampled_from_csv(text))
         if self.kind == "poly":
             tc = np.polynomial.chebyshev.poly2cheb(self.coeffs)
             return EndpointWeightedFunction(
@@ -146,25 +148,17 @@ def spec_of_weighted(func):
 
 
 # ---------------------------------------------------------------------------
-# RunConfig: defaults < config file (FHT_CONFIG or --config) < flags.
-
-@dataclass(frozen=True)
-class RunConfig(QuadratureConfig):
-    """The quadrature settings plus the per-run seed, convention and format."""
-
-    seed: int = 0
-    convention: str = TRICOMI
-    fmt: str = "json"
-
+# Config file (--config or FHT_CONFIG): the quadrature settings, which no flag
+# sets.  Every other setting is a flag only.
 
 _CONFIG_CASTS = {
     "abs_tol": float, "rel_tol": float, "max_panels": int, "eps_edge": float,
-    "seed": int, "convention": str, "fmt": str,
 }
 
 
-def load_run_config(path=None, overrides=None):
-    cfg = RunConfig()
+def load_run_config(path):
+    """The QuadratureConfig from the key=value file at path (or FHT_CONFIG)."""
+    cfg = DEFAULT_CONFIG
     path = path or os.environ.get("FHT_CONFIG")
     if path:
         with open(path) as fh:
@@ -181,13 +175,6 @@ def load_run_config(path=None, overrides=None):
                 except ValueError as exc:  # a bad cast or a QuadratureConfig check
                     raise FunctionSpecError(
                         f"bad config value {key} = {raw!r}: {exc}") from exc
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            cfg = replace(cfg, **{key: value})
-    if cfg.convention not in (TRICOMI, WIDOM):
-        raise FunctionSpecError(f"unknown convention {cfg.convention!r}")
-    if cfg.fmt not in ("json", "csv"):
-        raise FunctionSpecError(f"unknown output format {cfg.fmt!r}")
     return cfg
 
 
@@ -243,16 +230,16 @@ def _parse_points(args, eps_edge):
 # Each cmd_* returns (payload, exit code); main renders and writes the payload.
 # A payload is a JSON-ready dict, or the finished text of a CSV table.
 
-def cmd_transform(args, run_cfg):
+def cmd_transform(args, cfg):
     spec = parse_function_spec(args.f)
-    pts = _parse_points(args, run_cfg.eps_edge)
-    image = transform(spec.to_function(), run_cfg.convention, run_cfg)
+    pts = _parse_points(args, cfg.eps_edge)
+    image = transform(spec.to_function(), args.convention, cfg)
     values = np.asarray(image(np.asarray(pts)), dtype=complex)
-    if run_cfg.fmt == "csv":
+    if args.fmt == "csv":
         return table_to_csv(pts, values), 0
     return {
         "command": "transform",
-        "convention": run_cfg.convention,
+        "convention": args.convention,
         "spec": spec.to_string(),
         "table": [
             {"x": float(t), "re": v.real, "im": v.imag}
@@ -261,15 +248,15 @@ def cmd_transform(args, run_cfg):
     }, 0
 
 
-def cmd_invert(args, run_cfg):
+def cmd_invert(args, cfg):
     spec = parse_function_spec(args.g)
     g = spec.to_function()
     if args.regime == airfoil.LOW:
-        solution = airfoil.solve_low(g, C=complex(args.constant), cfg=run_cfg)
+        solution = airfoil.solve_low(g, C=complex(args.constant), cfg=cfg)
     else:
-        solution = airfoil.solve_high(g, cfg=run_cfg)
+        solution = airfoil.solve_high(g, cfg=cfg)
     report = airfoil.verify_roundtrip(g, args.regime, C=complex(args.constant),
-                                      cfg=run_cfg)
+                                      cfg=cfg)
     return {
         "command": "invert",
         "regime": args.regime,
@@ -277,7 +264,7 @@ def cmd_invert(args, run_cfg):
         "solution": spec_of_weighted(solution).to_string(),
         "roundtrip_residual": report.max_residual,
         "solvability_residual": (
-            airfoil.solvability_residual(g, run_cfg) if args.regime == airfoil.HIGH
+            airfoil.solvability_residual(g, cfg) if args.regime == airfoil.HIGH
             else None
         ),
         "constant_recovered": (
@@ -287,7 +274,7 @@ def cmd_invert(args, run_cfg):
     }, 0
 
 
-def cmd_classify(args, run_cfg):
+def cmd_classify(args, cfg):
     desc = spectrum.resolve_catalog(args.space)
     fs = spectrum.classify_space(desc)
     if args.boundary_csv:
@@ -308,12 +295,13 @@ def cmd_classify(args, run_cfg):
     return payload, 0
 
 
-def cmd_eigencheck(args, run_cfg):
+def cmd_eigencheck(args, cfg):
     lam = args.lam
     gamma = spectrum.gamma_of_lambda(lam)
     grid = np.linspace(-0.9, 0.9, args.grid)
-    residual = spectrum.eigen_residual(lam, grid=grid, cfg=run_cfg)
-    tol = 1e-8 if abs(lam.imag) == 0.0 else 1e-5
+    residual = spectrum.eigen_residual(lam, grid=grid, cfg=cfg)
+    tol = harness.TOLERANCES[
+        "eigen_real" if abs(lam.imag) == 0.0 else "eigen_complex"]
     return {
         "command": "eigencheck",
         "convention": WIDOM,
@@ -380,9 +368,9 @@ _SUITES = {
 }
 
 
-def cmd_identities(args, run_cfg):
+def cmd_identities(args, cfg):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    rng = np.random.default_rng(run_cfg.seed)
+    rng = np.random.default_rng(args.seed)
     reports = []
     for name in names:
         reports.extend(r.as_dict() for r in _SUITES[name](rng))
@@ -390,28 +378,28 @@ def cmd_identities(args, run_cfg):
     return {
         "command": "identities",
         "suite": args.suite,
-        "seed": run_cfg.seed,
+        "seed": args.seed,
         "reports": reports,
         "pass": all_pass,
     }, 0 if all_pass else EXIT_REPORT_FAIL
 
 
-def cmd_norms(args, run_cfg):
+def cmd_norms(args, cfg):
     reports = [
-        harness.norm_probe(p, family_size=args.family_size, seed=run_cfg.seed)
+        harness.norm_probe(p, family_size=args.family_size, seed=args.seed)
         for p in args.p
     ]
     if args.weighted:
         gamma, delta, p = args.weighted
         reports.append(harness.khvedelidze_probe(gamma, delta, p,
                                                  family_size=args.family_size,
-                                                 seed=run_cfg.seed))
+                                                 seed=args.seed))
     if args.loglog:
-        reports.append(harness.loglog_probe(seed=run_cfg.seed))
+        reports.append(harness.loglog_probe(seed=args.seed))
     all_pass = all(r.passed for r in reports)
     return {
         "command": "norms",
-        "seed": run_cfg.seed,
+        "seed": args.seed,
         "reports": [r.as_dict() for r in reports],
         "pass": all_pass,
     }, 0 if all_pass else EXIT_REPORT_FAIL
@@ -474,8 +462,8 @@ def build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--points", help="comma-separated interior points")
     group.add_argument("--grid", type=_positive_int, help="uniform interior grid size")
-    p.add_argument("--format", choices=["json", "csv"], dest="fmt")
-    p.add_argument("--convention", choices=[TRICOMI, WIDOM])
+    p.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
+    p.add_argument("--convention", choices=[TRICOMI, WIDOM], default=TRICOMI)
     _add_common(p)
     p.set_defaults(func=cmd_transform)
 
@@ -509,7 +497,7 @@ def build_parser():
     p = subs.add_parser("identities", help="run identity suites")
     p.add_argument("--suite", required=True,
                    choices=sorted(_SUITES) + ["all"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_identities)
 
@@ -521,7 +509,7 @@ def build_parser():
                    help="gamma,delta,p for the weighted probe")
     p.add_argument("--loglog", action="store_true",
                    help="include the L log L -> L^1 probe")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_norms)
 
@@ -543,10 +531,7 @@ _EXIT_TABLE = (
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        run_cfg = load_run_config(args.config, {
-            key: getattr(args, key, None) for key in ("fmt", "convention", "seed")
-        })
-        payload, code = args.func(args, run_cfg)
+        payload, code = args.func(args, load_run_config(args.config))
         if not isinstance(payload, str):
             payload = _json_text(payload, not args.no_timestamp)
         _emit(payload, args.output)

@@ -153,26 +153,24 @@ def _derivative(f, t, h=1e-6):
     return (complex(f(t + h)) - complex(f(t - h))) / (2.0 * h)
 
 
-def fht_pointwise(f, t, cfg=DEFAULT_CONFIG, convention=TRICOMI):
+def fht_pointwise(f, t, cfg=DEFAULT_CONFIG):
     """T(f)(t) = (1/pi) p.v. int f(x)/(x-t) dx by singularity subtraction.
 
     t is a scalar or an array; each point gets its own adaptive quadrature.
     A scalar t gives a complex scalar, an array t an array of its shape.
     """
-    if convention not in (TRICOMI, WIDOM):
-        raise ValueError(f"unknown convention {convention!r}")
     f = _as_callable(f)
     ts = np.asarray(t, dtype=float)
     if not np.all((-1.0 + cfg.eps_edge <= ts) & (ts <= 1.0 - cfg.eps_edge)):
         raise ValueError("t must lie in the interior window")
     real_only = _is_real(f)
-    values = [_pv_at(f, s, cfg, convention, real_only) for s in ts.ravel().tolist()]
+    values = [_pv_at(f, s, cfg, real_only) for s in ts.ravel().tolist()]
     if ts.ndim == 0:
         return values[0]
     return np.array(values, dtype=complex).reshape(ts.shape)
 
 
-def _pv_at(f, t, cfg, convention, real_only):
+def _pv_at(f, t, cfg, real_only):
     """The p.v. quadrature of fht_pointwise at one point t."""
     ft = complex(f(t))
     if not np.isfinite(ft):
@@ -195,8 +193,6 @@ def _pv_at(f, t, cfg, convention, real_only):
     err = (e1 + e2) / math.pi
     if err > max(cfg.abs_tol, cfg.rel_tol * abs(result)) * 100.0:
         raise NoConvergence(f"p.v. quadrature error estimate {err:.2e} too large")
-    if convention == WIDOM:
-        return result / 1j
     if real_only:
         return complex(result.real)
     return result
@@ -206,7 +202,7 @@ def _exponents_close(f, a, b, tol=1e-12):
     return abs(complex(f.a) - a) <= tol and abs(complex(f.b) - b) <= tol
 
 
-def fht_spectral(f, convention=TRICOMI):
+def fht_spectral(f):
     """Exact transform of the two canonical weight classes.
 
     (1/w) sum a_n T_n  ->  sum_{n>=1} a_n U_{n-1}
@@ -218,19 +214,15 @@ def fht_spectral(f, convention=TRICOMI):
         tc = f.smooth.to_basis(FIRST_KIND).coeffs
         out = np.zeros(max(len(tc) - 1, 1), dtype=complex)
         out[: len(tc) - 1] = tc[1:]
-        result = EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(out, SECOND_KIND))
-    elif _exponents_close(f, 0.5, 0.5):
+        return EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(out, SECOND_KIND))
+    if _exponents_close(f, 0.5, 0.5):
         uc = f.smooth.to_basis(SECOND_KIND).coeffs
         out = np.zeros(len(uc) + 1, dtype=complex)
         out[1:] = -uc
-        result = EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(out, FIRST_KIND))
-    else:
-        raise UnsupportedExponents(
-            f"no closed form for exponents ({f.a}, {f.b}); use fht_pointwise"
-        )
-    if convention == WIDOM:
-        result = result.scaled(1.0 / 1j)
-    return result
+        return EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(out, FIRST_KIND))
+    raise UnsupportedExponents(
+        f"no closed form for exponents ({f.a}, {f.b}); use fht_pointwise"
+    )
 
 
 def fht_hat(g, cfg=DEFAULT_CONFIG):
@@ -365,20 +357,25 @@ def fht_of_one(t):
 def transform(f, convention=TRICOMI, cfg=DEFAULT_CONFIG):
     """T(f) by the fastest exact route, with p.v. quadrature as the fallback.
 
-    This is the one place that picks a route: exponents (0,0) use the closed
-    form for polynomials, the weights w and 1/w (exponents +-1/2) the spectral
-    rules, and everything else fht_pointwise, one quadrature per point.  Sampled
-    input is interpolated first.  The evaluator takes a scalar or an array.
+    This is the one place that picks a route and the one place that applies
+    the convention: exponents (0,0) use the closed form for polynomials, the
+    weights w and 1/w (exponents +-1/2) the spectral rules, and everything else
+    fht_pointwise, one quadrature per point.  Sampled input is interpolated
+    first.  The evaluator takes a scalar or an array; for 'widom' it returns
+    the plain image divided by i.
     """
+    if convention not in (TRICOMI, WIDOM):
+        raise ValueError(f"unknown convention {convention!r}")
     f = _as_callable(f)
+    image = lambda t: fht_pointwise(f, t, cfg)
     if isinstance(f, EndpointWeightedFunction):
         if f.a == 0.0 and f.b == 0.0:
-            poly = fht_polynomial(f.smooth.to_basis(FIRST_KIND).coeffs)
-            if convention == WIDOM:
-                return lambda t: poly(t) / 1j
-            return poly
-        try:
-            return fht_spectral(f, convention=convention)
-        except UnsupportedExponents:
-            pass
-    return lambda t: fht_pointwise(f, t, cfg, convention)
+            image = fht_polynomial(f.smooth.to_basis(FIRST_KIND).coeffs)
+        else:
+            try:
+                image = fht_spectral(f)
+            except UnsupportedExponents:
+                pass
+    if convention == WIDOM:
+        return lambda t: image(t) / 1j
+    return image

@@ -27,6 +27,9 @@ TOLERANCES = {
     "poincare_bertrand": 1e-4,
     "laeng": 1e-3,
     "kernel": 1e-8,
+    # the eigen-relation of fht eigencheck, at real and at complex lambda
+    "eigen_real": 1e-8,
+    "eigen_complex": 1e-5,
     "norm_bound_slack": 1e-3,
     "stability": 0.10,
 }

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_CONFIG, WIDOM, fht_pointwise
+from .engine import DEFAULT_CONFIG, fht_pointwise
 from .errors import (
     BranchViolation,
     ExponentOutOfRange,
@@ -135,7 +135,7 @@ def eigen_residual(lam, grid=None, cfg=DEFAULT_CONFIG):
     if grid is None:
         grid = np.linspace(-0.9, 0.9, 20)
     xi = xi_function(lam)
-    lhs = fht_pointwise(xi, grid, cfg, convention=WIDOM)
+    lhs = fht_pointwise(xi, grid, cfg) / 1j  # T/i, the convention of this module
     val = xi(grid)
     return float(np.max(np.abs(lhs - complex(lam) * val) / (1.0 + np.abs(val)),
                         initial=0.0))

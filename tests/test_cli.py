@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from finitehilbert.cli import (
     main,
     parse_function_spec,
 )
+from finitehilbert.engine import DEFAULT_CONFIG
 from finitehilbert.errors import FunctionSpecError
 
 
@@ -46,20 +48,40 @@ def test_spec_parse_errors():
 
 
 def test_config_precedence(tmp_path, monkeypatch):
-    cfg_file = tmp_path / "fht.conf"
-    cfg_file.write_text("eps_edge = 1e-4\nseed = 7\n# comment\n")
-    monkeypatch.setenv("FHT_CONFIG", str(cfg_file))
-    cfg = load_run_config(None, {"seed": 11})
-    assert cfg.eps_edge == 1e-4  # from file
-    assert cfg.seed == 11  # flag wins
-    assert cfg.convention == "tricomi"  # default
+    env_file = tmp_path / "env.conf"
+    env_file.write_text("eps_edge = 1e-4\nmax_panels = 64\n# comment\n")
+    monkeypatch.setenv("FHT_CONFIG", str(env_file))
+    cfg = load_run_config(None)
+    assert cfg.eps_edge == 1e-4  # from the FHT_CONFIG file
+    assert cfg.max_panels == 64
+    assert cfg.abs_tol == DEFAULT_CONFIG.abs_tol  # default
+    flag_file = tmp_path / "flag.conf"
+    flag_file.write_text("abs_tol = 1e-9\n")
+    cfg = load_run_config(str(flag_file))  # --config wins over FHT_CONFIG
+    assert cfg == replace(DEFAULT_CONFIG, abs_tol=1e-9)
 
 
 def test_config_rejects_unknown_key(tmp_path):
     cfg_file = tmp_path / "bad.conf"
     cfg_file.write_text("panels = 3\n")
     with pytest.raises(FunctionSpecError):
-        load_run_config(str(cfg_file), {})
+        load_run_config(str(cfg_file))
+
+
+@pytest.mark.parametrize("text", ["fmt = csv\n", "convention = widom\n", "seed = 5\n"])
+@pytest.mark.parametrize("argv", [
+    ["transform", "--f", "poly:[0,1]", "--points", "0"],
+    ["classify", "--space", "lebesgue:1.5"],
+    ["identities", "--suite", "kernel"],
+], ids=["transform", "classify", "identities"])
+def test_config_rejects_flag_settings(tmp_path, capsys, argv, text):
+    # format, convention and seed are flags only, on every subcommand
+    cfg_file = tmp_path / "fht.conf"
+    cfg_file.write_text(text)
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg_file))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: unknown config key")
 
 
 # ---------------------------------------------------------------------------

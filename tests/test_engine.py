@@ -81,9 +81,22 @@ def test_spectral_rejects_other_exponents():
 
 def test_widom_convention_divides_by_i():
     t = 0.3
-    assert fht_pointwise(sqrt_weight(), t, convention=WIDOM) == pytest.approx(
+    assert complex(transform(sqrt_weight(), WIDOM)(t)) == pytest.approx(
         -t / 1j, abs=1e-10
     )
+    # on the quadrature route the widom image is the plain one divided by i
+    func = EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([1.0, 2.0], FIRST_KIND))
+    ts = np.linspace(-0.8, 0.8, 5)
+    assert np.array_equal(transform(func, WIDOM)(ts), fht_pointwise(func, ts) / 1j)
+
+
+@pytest.mark.parametrize("func", [one(), sqrt_weight(), x_over_w(), sample(np.exp, 40),
+                                  EndpointWeightedFunction(0.3, -0.4, constant_series(1.0))],
+                         ids=["closed_form", "spectral_w", "spectral_1/w", "sampled",
+                              "quadrature"])
+def test_transform_rejects_unknown_convention(func):
+    with pytest.raises(ValueError, match="unknown convention"):
+        transform(func, "bogus")
 
 
 def test_polynomial_closed_form_vs_quadrature():
@@ -157,17 +170,19 @@ def _dispatch_cases():
 def test_transform_dispatcher_routes(name, convention):
     func = _dispatch_cases()[name]
     image = transform(func, convention)
+    scale = 1j if convention == WIDOM else 1.0
     ts = np.linspace(-0.9, 0.9, 7)
     values = np.asarray(image(ts), dtype=complex)
-    pointwise = fht_pointwise(func, ts, convention=convention)
+    pointwise = fht_pointwise(func, ts)
     assert values.shape == pointwise.shape == ts.shape
     for t, v, p in zip(ts, values, pointwise):
         scalar = complex(image(float(t)))
         assert abs(v - scalar) <= 1e-14 * max(1.0, abs(scalar))
-        ref = fht_pointwise(func, float(t), convention=convention)
-        assert isinstance(ref, complex)
+        plain = fht_pointwise(func, float(t))
+        assert isinstance(plain, complex)
         # one array call runs the same quadrature as the scalar calls
-        assert p == ref
+        assert p == plain
+        ref = plain / scale
         assert abs(v - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
