@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
+import math
 import os
 import re
 import sys
@@ -409,22 +411,37 @@ def cmd_norms(args, cfg):
 # Argument parsing and dispatch.  Each subcommand registers only the flags it
 # reads, and argument types reject malformed values at parse time (exit 2).
 
-def _positive_int(text):
+def _bounded_int(text, lowest, what):
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive int, got {value}")
+    if value < lowest:
+        raise argparse.ArgumentTypeError(f"must be a {what} int, got {value}")
+    return value
+
+
+def _positive_int(text):
+    return _bounded_int(text, 1, "positive")
+
+
+def _non_negative_int(text):
+    return _bounded_int(text, 0, "non-negative")
+
+
+def _finite(value, text):
+    if not math.isfinite(value.real) or not math.isfinite(value.imag):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
 
 
 def _float_list(text):
     try:
-        return [float(tok) for tok in text.split(",")]
+        values = [float(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid comma-separated floats: {text!r}") from None
+    return [_finite(v, text) for v in values]
 
 
 def _float_triple(text):
@@ -438,9 +455,10 @@ def _complex_pair(text):
     """re[,im] as a complex number; a missing imaginary part is 0."""
     re_part, _, im_part = text.partition(",")
     try:
-        return complex(float(re_part), float(im_part or "0"))
+        value = complex(float(re_part), float(im_part or "0"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid re[,im] value: {text!r}") from None
+    return _finite(value, text)
 
 
 def _add_common(sub):
@@ -450,7 +468,9 @@ def _add_common(sub):
                      help="omit the timestamp field from JSON output")
 
 
+@functools.cache
 def build_parser():
+    """The fht parser, built once per process: argparse setup dominates a short run."""
     parser = argparse.ArgumentParser(
         prog="fht",
         description="Finite Hilbert transform toolkit on (-1,1)",
@@ -497,7 +517,7 @@ def build_parser():
     p = subs.add_parser("identities", help="run identity suites")
     p.add_argument("--suite", required=True,
                    choices=sorted(_SUITES) + ["all"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_identities)
 
@@ -509,7 +529,7 @@ def build_parser():
                    help="gamma,delta,p for the weighted probe")
     p.add_argument("--loglog", action="store_true",
                    help="include the L log L -> L^1 probe")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_norms)
 

@@ -112,36 +112,37 @@ def _quad_complex(g, a, b, cfg, real_only=False):
     return complex(re, im), err_re + err_im
 
 
-def _eval_times_sin(f, theta):
-    """f(cos theta) * sin(theta), stable against endpoint blow-up.
+def _times_sin(f):
+    """The theta-integrand f(cos theta) * sin(theta), stable against endpoint blow-up.
 
     For endpoint-weighted f the weight times sin(theta) is rewritten as
     2^(a+b+1) sin(theta/2)^(2a+1) cos(theta/2)^(2b+1), which stays finite for
-    all integrable exponents.
+    all integrable exponents.  The terms that do not depend on theta are
+    computed once, here, not once per quadrature node.
     """
-    if isinstance(f, EndpointWeightedFunction):
+    if not isinstance(f, EndpointWeightedFunction):
+        return lambda theta: complex(f(math.cos(theta))) * math.sin(theta)
+    a, b = complex(f.a), complex(f.b)
+    log_two = (a + b + 1.0) * math.log(2.0)
+    sin_power, cos_power = 2.0 * a + 1.0, 2.0 * b + 1.0
+    smooth = f.smooth
+
+    def g(theta):
         h = 0.5 * theta
         sh = max(math.sin(h), 1e-300)
         ch = max(math.cos(h), 1e-300)
-        a, b = complex(f.a), complex(f.b)
-        log_factor = (
-            (a + b + 1.0) * math.log(2.0)
-            + (2.0 * a + 1.0) * math.log(sh)
-            + (2.0 * b + 1.0) * math.log(ch)
-        )
-        return np.exp(log_factor) * complex(f.smooth(math.cos(theta)))
-    return complex(f(math.cos(theta))) * math.sin(theta)
+        log_factor = log_two + sin_power * math.log(sh) + cos_power * math.log(ch)
+        # np.exp, not cmath.exp: the two differ in the last digit
+        return np.exp(log_factor) * complex(smooth(math.cos(theta)))
+
+    return g
 
 
 def integrate_unit(f, cfg=DEFAULT_CONFIG):
     """int_{-1}^1 f(x) dx via the x = cos(theta) substitution."""
     f = _as_callable(f)
     real_only = _is_real(f)
-
-    def g(theta):
-        return _eval_times_sin(f, theta)
-
-    val, err = _quad_complex(g, 0.0, math.pi, cfg, real_only=real_only)
+    val, err = _quad_complex(_times_sin(f), 0.0, math.pi, cfg, real_only=real_only)
     if err > max(cfg.abs_tol, cfg.rel_tol * abs(val)) * 10.0:
         raise NoConvergence(f"integral error estimate {err:.2e} too large")
     if real_only:
@@ -177,6 +178,7 @@ def _pv_at(f, t, cfg, real_only):
         raise SingularEvaluation(f"f is not finite at t={t}")
     phi = math.acos(t)
     dft = _derivative(f, t, h=min(1e-6, 0.25 * (1.0 - abs(t))))
+    times_sin = _times_sin(f)
 
     def g(theta):
         x = math.cos(theta)
@@ -184,7 +186,7 @@ def _pv_at(f, t, cfg, real_only):
         s = math.sin(theta)
         if abs(dx) < 1e-13:
             return dft * s
-        return (_eval_times_sin(f, theta) - ft * s) / dx
+        return (times_sin(theta) - ft * s) / dx
 
     v1, e1 = _quad_complex(g, 0.0, phi, cfg, real_only=real_only)
     v2, e2 = _quad_complex(g, phi, math.pi, cfg, real_only=real_only)

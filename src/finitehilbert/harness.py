@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,17 +205,22 @@ class ProbeReport:
         }
 
 
-_THETA_N = 2000
-_THETA, _THETA_W = roots_legendre(_THETA_N)
-_THETA = 0.5 * math.pi * (_THETA + 1.0)
-_THETA_W = 0.5 * math.pi * _THETA_W
-_XGRID = np.cos(_THETA)
-_SINW = np.sin(_THETA) * _THETA_W
+@functools.cache
+def _gauss_grid():
+    """The 2000-node Gauss-Legendre grid in theta, as (x = cos theta, sin(theta) * weight).
+
+    Built on first use, not at import: only the norm probes read it.
+    """
+    theta, weights = roots_legendre(2000)
+    theta = 0.5 * math.pi * (theta + 1.0)
+    weights = 0.5 * math.pi * weights
+    return np.cos(theta), np.sin(theta) * weights
 
 
 def _grid_lp(vals, p):
     """L^p norm on (-1,1) on the Gauss grid in theta (endpoint-safe)."""
-    return float(np.sum(np.abs(vals) ** p * _SINW) ** (1.0 / p))
+    _, sinw = _gauss_grid()
+    return float(np.sum(np.abs(vals) ** p * sinw) ** (1.0 / p))
 
 
 def _random_cheb_family(rng, size, degree):
@@ -234,10 +240,11 @@ def norm_probe(p, family_size=50, seed=0):
         raise ValueError("the closed-form operator norm applies for p in (1,2)")
     rng = np.random.default_rng(seed)
     bound = math.tan(math.pi / (2.0 * p))
+    xgrid, _ = _gauss_grid()
     ratios = []
     for series in _random_cheb_family(rng, family_size, 10):
-        fv = series(_XGRID)
-        tv = fht_polynomial(series.coeffs)(_XGRID)
+        fv = series(xgrid)
+        tv = fht_polynomial(series.coeffs)(xgrid)
         ratios.append(_grid_lp(tv, p) / _grid_lp(fv, p))
     sup = float(np.max(ratios))
     return ProbeReport(name=f"norm_p{p:g}", sup_ratio=sup, analytic_bound=bound,
@@ -299,11 +306,12 @@ def khvedelidze_probe(gamma, delta, p, family_size=20, seed=0):
     rng = np.random.default_rng(seed)
     tgrid = np.linspace(-0.9, 0.9, 31)
     dt = tgrid[1] - tgrid[0]
+    xgrid, _ = _gauss_grid()
     ratios = []
     for series in _random_cheb_family(rng, family_size, 8):
         func = EndpointWeightedFunction(0.0, 0.0, series)
         tv = weighted_transform(gamma, delta, func, tgrid, p=p)
-        f_norm = _grid_lp(series(_XGRID), p)
+        f_norm = _grid_lp(series(xgrid), p)
         t_norm = float(np.sum(np.abs(tv) ** p * dt) ** (1.0 / p))
         ratios.append(t_norm / f_norm)
     sup = float(np.max(ratios))

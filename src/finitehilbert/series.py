@@ -22,17 +22,18 @@ DEFAULT_TAIL_TOL = 1e-12
 
 
 def _clenshaw(coeffs, x, basis):
-    """Evaluate sum c_n P_n(x) where P is T or U (shared three-term recurrence)."""
-    c = np.asarray(coeffs)
-    x = np.asarray(x)
-    b1 = np.zeros_like(x, dtype=complex)
-    b2 = np.zeros_like(x, dtype=complex)
-    for k in range(len(c) - 1, 0, -1):
-        b1, b2 = c[k] + 2.0 * x * b1 - b2, b1
+    """Evaluate sum c_n P_n(x) where P is T or U (shared three-term recurrence).
+
+    coeffs is a list of Python numbers, so a float x costs plain arithmetic
+    per step and an array x one numpy operation per step.
+    """
+    b1 = b2 = 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + 2.0 * x * b1 - b2, b1
     if basis == FIRST_KIND:
-        return c[0] + x * b1 - b2
+        return coeffs[0] + x * b1 - b2
     # U_0 = 1, U_1 = 2x
-    return c[0] + 2.0 * x * b1 - b2
+    return coeffs[0] + 2.0 * x * b1 - b2
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,16 @@ class ChebyshevSeries:
         # computed once: coeffs is never mutated after construction
         return bool(np.all(np.abs(self.coeffs.imag) == 0.0))
 
-    def __call__(self, x):
-        val = _clenshaw(self.coeffs, x, self.basis)
+    @cached_property
+    def _coeff_list(self):
+        # a real series runs in floats, which equals the real part of the
+        # complex evaluation
         if self.real_valued:
-            val = val.real
-        return val
+            return self.coeffs.real.tolist()
+        return self.coeffs.tolist()
+
+    def __call__(self, x):
+        return _clenshaw(self._coeff_list, x, self.basis)
 
     def resolved(self, tail_tol=DEFAULT_TAIL_TOL):
         """True when the last two coefficients are below tail_tol relative to the peak."""

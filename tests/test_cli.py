@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import finitehilbert
 from finitehilbert.cli import (
     EXIT_DESCRIPTOR,
     EXIT_NOT_SOLVABLE,
@@ -272,6 +276,16 @@ _CONFIG_ARGV = ["transform", "--f", "poly:[0,1]", "--points", "0", "--config", "
                  id="classify-format"),
     pytest.param(["transform", "--f", "poly:[0,1]", "--points", "0", "--seed", "1"],
                  None, id="transform-seed"),
+    # non-finite numbers and negative seeds are rejected at parse time
+    pytest.param(["identities", "--suite", "kernel", "--seed", "-2"], None,
+                 id="identities-seed-negative"),
+    pytest.param(["norms", "--seed", "-3"], None, id="norms-seed-negative"),
+    pytest.param(["classify", "--space", "lebesgue:1.5", "--lambda=nan,0"], None,
+                 id="classify-lambda-nan"),
+    pytest.param(["eigencheck", "--lambda=nan,0"], None, id="eigencheck-lambda-nan"),
+    pytest.param(["eigencheck", "--lambda=0.2,inf"], None, id="eigencheck-lambda-inf"),
+    pytest.param(["norms", "--p", "nan"], None, id="norms-p-nan"),
+    pytest.param(["norms", "--weighted", "0,0,inf"], None, id="norms-weighted-inf"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, file_text):
     if file_text is not None:
@@ -316,3 +330,33 @@ def test_exit_code_table(tmp_path, capsys, argv, file_text, code, stderr_start):
     assert out == ""
     assert err.startswith(stderr_start)
     assert err.count("\n") == 1
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    """The parser is built once per process; no default or value leaks between calls."""
+    argvs = [
+        ["transform", "--f", "poly:[0,1]", "--grid", "0"],  # argparse error, exit 2
+        ["transform", "--f", "chebT:[1,2,3]", "--points", "0.1,-0.5", "--format", "csv"],
+        ["transform", "--f", "chebT:[1,2,3]", "--points", "0.1,-0.5", "--no-timestamp"],
+        ["classify", "--space", "lebesgue:1.5", "--lambda", "0.2,0.3", "--no-timestamp"],
+        ["identities", "--suite", "kernel", "--no-timestamp"],
+    ]
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    src = os.path.dirname(os.path.dirname(finitehilbert.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    procs = [subprocess.Popen([sys.executable, "-m", "finitehilbert.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for argv in argvs]
+    fresh = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        fresh.append((proc.returncode, out, err))
+    assert in_process[0][0] == EXIT_PARSE
+    assert in_process == fresh

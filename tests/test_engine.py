@@ -8,6 +8,7 @@ from finitehilbert.engine import (
     TRICOMI,
     WIDOM,
     QuadratureConfig,
+    _times_sin,
     fht_hat,
     fht_check,
     fht_of_one,
@@ -248,3 +249,34 @@ def test_linearity_of_pointwise_transform():
     )
     rhs = 2.0 * fht_pointwise(f, t) + 3.0 * fht_pointwise(g, t)
     assert complex(lhs) == pytest.approx(complex(rhs), abs=1e-7)
+
+
+def _eval_times_sin_reference(f, theta):
+    """Reference: the theta-integrand with every term computed per call."""
+    if isinstance(f, EndpointWeightedFunction):
+        h = 0.5 * theta
+        sh = max(math.sin(h), 1e-300)
+        ch = max(math.cos(h), 1e-300)
+        a, b = complex(f.a), complex(f.b)
+        log_factor = (
+            (a + b + 1.0) * math.log(2.0)
+            + (2.0 * a + 1.0) * math.log(sh)
+            + (2.0 * b + 1.0) * math.log(ch)
+        )
+        return np.exp(log_factor) * complex(f.smooth(math.cos(theta)))
+    return complex(f(math.cos(theta))) * math.sin(theta)
+
+
+@pytest.mark.parametrize("func", [
+    EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([1.0, -2.0, 0.5], FIRST_KIND)),
+    EndpointWeightedFunction(-0.3 + 0.2j, -0.7 - 0.2j,
+                             ChebyshevSeries([1.0 + 0.5j, 0.25j], SECOND_KIND)),
+    EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries([0.3, 1.0, -0.7], SECOND_KIND)),
+    lambda x: math.exp(x) * (1.0 - x * x) + 1j * x,
+], ids=["real-exponents", "complex-exponents", "plain-series", "callable"])
+def test_theta_integrand_is_bit_identical_to_per_call_formula(func):
+    g = _times_sin(func)
+    thetas = [0.0, 1e-300, 1e-12, 1e-6, 0.3, 1.0, 0.5 * math.pi, 2.0,
+              math.pi - 1e-6, math.pi - 1e-12, math.pi]
+    for theta in thetas:
+        assert g(theta) == _eval_times_sin_reference(func, theta)

@@ -16,6 +16,7 @@ from finitehilbert.functions import (
     sampled_to_csv,
     sqrt_weight,
 )
+from finitehilbert.series import SECOND_KIND, ChebyshevSeries
 
 
 def test_weight_matches_direct_formula():
@@ -23,6 +24,16 @@ def test_weight_matches_direct_formula():
     x = 0.4
     expected = 2.0 * (1 - x) ** 0.3 * (1 + x) ** (-0.2)
     assert f(x) == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize("coeffs", [[0.3, -1.2, 0.7], [0.3 + 0.1j, 2.0j, -1.0]])
+def test_plain_series_float_call_equals_weight_times_series(coeffs):
+    f = EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(coeffs, SECOND_KIND))
+    for x in np.linspace(-0.999, 0.999, 41).tolist():
+        expected = f.weight(x) * f.smooth(x)
+        if f.real_valued:
+            expected = expected.real
+        assert f(x) == expected
 
 
 def test_sqrt_weight_pair():

@@ -23,6 +23,51 @@ def test_evaluation_matches_numpy():
     assert np.allclose(s(x), expected, atol=1e-14)
 
 
+def _clenshaw_numpy_complex(coeffs, x, basis):
+    """Reference: the recurrence in numpy complex arithmetic, returning a numpy value."""
+    c = np.asarray(coeffs)
+    x = np.asarray(x)
+    b1 = np.zeros_like(x, dtype=complex)
+    b2 = np.zeros_like(x, dtype=complex)
+    for k in range(len(c) - 1, 0, -1):
+        b1, b2 = c[k] + 2.0 * x * b1 - b2, b1
+    if basis == FIRST_KIND:
+        return c[0] + x * b1 - b2
+    return c[0] + 2.0 * x * b1 - b2
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    degree=st.integers(0, 70),
+    basis=st.sampled_from([FIRST_KIND, SECOND_KIND]),
+    complex_coeffs=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    x=_UNIT,
+    xs=st.lists(_UNIT, min_size=1, max_size=9),
+)
+def test_evaluation_is_bit_identical_to_numpy_complex_recurrence(
+        degree, basis, complex_coeffs, seed, x, xs):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(degree + 1) * 10.0 ** rng.uniform(-3, 3, degree + 1)
+    if complex_coeffs:
+        coeffs = coeffs + 1j * rng.standard_normal(degree + 1)
+    s = ChebyshevSeries(coeffs, basis)
+
+    def reference(points):
+        val = _clenshaw_numpy_complex(s.coeffs, points, basis)
+        return val.real if s.real_valued else val
+
+    value = s(x)
+    assert type(value) is (float if s.real_valued else complex)
+    assert value == reference(x)
+    xs = np.array(xs)
+    assert np.array_equal(s(xs), reference(xs))
+    assert np.array_equal(s(xs.reshape(1, -1)), reference(xs.reshape(1, -1)))
+
+
 def test_u_basis_evaluation():
     # U_2(x) = 4x^2 - 1
     s = ChebyshevSeries([0, 0, 1.0], SECOND_KIND)
