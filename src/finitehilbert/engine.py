@@ -105,10 +105,30 @@ def _quad(g, a, b, cfg):
 
 
 def _quad_complex(g, a, b, cfg, real_only=False):
-    re, err_re = _quad(lambda s: g(s).real, a, b, cfg)
+    """Integrate the real part, then the imaginary part, in two quad passes.
+
+    The passes stay separate, so each sees the node set and the values it
+    would see on its own.  A complex g still runs once per distinct node:
+    the real pass keeps g(s), and the imaginary pass reads .imag from it,
+    calling g only at nodes the real pass did not visit.
+    """
     if real_only:
+        re, err_re = _quad(lambda s: g(s).real, a, b, cfg)
         return complex(re), err_re
-    im, err_im = _quad(lambda s: g(s).imag, a, b, cfg)
+    seen = {}
+
+    def real_part(s):
+        value = seen[s] = g(s)
+        return value.real
+
+    def imag_part(s):
+        value = seen.get(s)
+        if value is None:
+            value = g(s)
+        return value.imag
+
+    re, err_re = _quad(real_part, a, b, cfg)
+    im, err_im = _quad(imag_part, a, b, cfg)
     return complex(re, im), err_re + err_im
 
 
@@ -129,8 +149,12 @@ def _times_sin(f):
 
     def g(theta):
         h = 0.5 * theta
-        sh = max(math.sin(h), 1e-300)
-        ch = max(math.cos(h), 1e-300)
+        sh = math.sin(h)
+        if sh < 1e-300:  # the value of max(sh, 1e-300), without a call
+            sh = 1e-300
+        ch = math.cos(h)
+        if ch < 1e-300:
+            ch = 1e-300
         log_factor = log_two + sin_power * math.log(sh) + cos_power * math.log(ch)
         # np.exp, not cmath.exp: the two differ in the last digit
         return np.exp(log_factor) * complex(smooth(math.cos(theta)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 from dataclasses import dataclass
@@ -36,6 +37,8 @@ class EndpointWeightedFunction:
     smooth: ChebyshevSeries
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
+            raise ExponentOutOfRange(f"exponents ({self.a}, {self.b}) must be finite")
         if self.a.real <= -1.0 or self.b.real <= -1.0:
             raise ExponentOutOfRange(
                 f"exponents ({self.a}, {self.b}) are not integrable on (-1,1)"

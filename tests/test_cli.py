@@ -286,6 +286,17 @@ _CONFIG_ARGV = ["transform", "--f", "poly:[0,1]", "--points", "0", "--config", "
     pytest.param(["eigencheck", "--lambda=0.2,inf"], None, id="eigencheck-lambda-inf"),
     pytest.param(["norms", "--p", "nan"], None, id="norms-p-nan"),
     pytest.param(["norms", "--weighted", "0,0,inf"], None, id="norms-weighted-inf"),
+    # non-finite weight exponents
+    pytest.param(["transform", "--f", "weighted:{nan,0,chebT:[1]}", "--points=0.1"], None,
+                 id="weighted-exponent-nan"),
+    pytest.param(["transform", "--f", "weighted:{0.3+nanj,0,chebT:[1]}", "--points=0.1"],
+                 None, id="weighted-exponent-imag-nan"),
+    pytest.param(["transform", "--f", "weighted:{0.3,inf,chebT:[1]}", "--points=0.1"], None,
+                 id="weighted-exponent-inf"),
+    pytest.param(["transform", "--f", "weighted:{0.3,infj,chebT:[1]}", "--points=0.1"], None,
+                 id="weighted-exponent-imag-inf"),
+    pytest.param(["invert", "--g", "weighted:{nan,0,chebT:[1]}", "--regime", "high"], None,
+                 id="invert-weighted-exponent-nan"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, file_text):
     if file_text is not None:
@@ -299,6 +310,7 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, file_text):
     err = capsys.readouterr().err
     assert code == EXIT_PARSE
     assert "Traceback" not in err
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("argv, file_text, code, stderr_start", [

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from finitehilbert import engine
 from finitehilbert.engine import (
     DEFAULT_CONFIG,
     TRICOMI,
     WIDOM,
     QuadratureConfig,
+    _quad,
+    _quad_complex,
     _times_sin,
     fht_hat,
     fht_check,
@@ -32,6 +35,7 @@ from finitehilbert.functions import (
     sqrt_weight,
 )
 from finitehilbert.series import FIRST_KIND, SECOND_KIND, ChebyshevSeries
+from finitehilbert.spectrum import xi_function
 
 GRID = np.linspace(-0.9, 0.9, 13)
 
@@ -276,7 +280,95 @@ def _eval_times_sin_reference(f, theta):
 ], ids=["real-exponents", "complex-exponents", "plain-series", "callable"])
 def test_theta_integrand_is_bit_identical_to_per_call_formula(func):
     g = _times_sin(func)
-    thetas = [0.0, 1e-300, 1e-12, 1e-6, 0.3, 1.0, 0.5 * math.pi, 2.0,
+    thetas = [0.0, 5e-324, 1e-300, 1e-12, 1e-6, 0.3, 1.0, 0.5 * math.pi, 2.0,
               math.pi - 1e-6, math.pi - 1e-12, math.pi]
     for theta in thetas:
         assert g(theta) == _eval_times_sin_reference(func, theta)
+
+
+def _quad_complex_reference(g, a, b, cfg, real_only=False):
+    """Reference: two quad passes, each evaluating g at every one of its nodes."""
+    re, err_re = _quad(lambda s: g(s).real, a, b, cfg)
+    if real_only:
+        return complex(re), err_re
+    im, err_im = _quad(lambda s: g(s).imag, a, b, cfg)
+    return complex(re, im), err_re + err_im
+
+
+def _xi_half_interval(monkeypatch, t, half):
+    """The xi_lambda integrand of _pv_at at t on (0, phi) (half 0) or (phi, pi) (half 1)."""
+    calls = []
+    real_quad_complex = engine._quad_complex
+
+    def recording(g, a, b, cfg, real_only=False):
+        calls.append((g, a, b, real_only))
+        return real_quad_complex(g, a, b, cfg, real_only)
+
+    monkeypatch.setattr(engine, "_quad_complex", recording)
+    fht_pointwise(xi_function(0.2 + 0.3j), t)
+    monkeypatch.undo()
+    assert [(a == 0.0, b == math.pi, real_only) for _, a, b, real_only in calls] == [
+        (True, False, False), (False, True, False)]
+    g, a, b, _ = calls[half]
+    return g, a, b
+
+
+_PLAIN_INTEGRALS = {
+    "plain-callable": (lambda s: complex(math.cos(3.0 * s), math.sin(s) ** 2), 0.0, math.pi),
+    # the imaginary part has a kink, so its pass subdivides where the real pass did not
+    "imag-subdivides-more": (lambda s: complex(math.cos(s), math.sqrt(abs(s - 0.7))), 0.0, 2.0),
+}
+_INTEGRAL_CASES = [
+    pytest.param(("xi", t, half), id=f"xi-t{t}-{name}")
+    for t in (-0.5, 0.4) for half, name in ((0, "0-phi"), (1, "phi-pi"))
+] + [pytest.param(name, id=name) for name in _PLAIN_INTEGRALS]
+
+
+def _complex_integral(case, monkeypatch):
+    if case in _PLAIN_INTEGRALS:
+        return _PLAIN_INTEGRALS[case]
+    _, t, half = case
+    return _xi_half_interval(monkeypatch, t, half)
+
+
+@pytest.mark.parametrize("case", _INTEGRAL_CASES)
+def test_quad_complex_is_bit_identical_to_two_pass_reference(case, monkeypatch):
+    g, a, b = _complex_integral(case, monkeypatch)
+    assert _quad_complex(g, a, b, DEFAULT_CONFIG) == _quad_complex_reference(
+        g, a, b, DEFAULT_CONFIG)
+
+
+def test_quad_complex_real_only_is_bit_identical_to_reference():
+    f = EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([1.0, -2.0, 0.5], FIRST_KIND))
+    g = _times_sin(f)
+    assert _quad_complex(g, 0.0, math.pi, DEFAULT_CONFIG, real_only=True) == (
+        _quad_complex_reference(g, 0.0, math.pi, DEFAULT_CONFIG, real_only=True))
+
+
+def _counting(g):
+    nodes = []
+
+    def counted(s):
+        nodes.append(s)
+        return g(s)
+
+    return counted, nodes
+
+
+@pytest.mark.parametrize("case", _INTEGRAL_CASES)
+def test_quad_complex_evaluates_g_once_per_distinct_node(case, monkeypatch):
+    g, a, b = _complex_integral(case, monkeypatch)
+    counted, real_nodes = _counting(g)
+    _quad_complex_reference(counted, a, b, DEFAULT_CONFIG, real_only=True)
+    counted, both_nodes = _counting(g)
+    _quad_complex_reference(counted, a, b, DEFAULT_CONFIG)
+    assert both_nodes[:len(real_nodes)] == real_nodes
+    seen = set(real_nodes)
+    unseen = [s for s in both_nodes[len(real_nodes):] if s not in seen]
+
+    counted, nodes = _counting(g)
+    _quad_complex(counted, a, b, DEFAULT_CONFIG)
+    assert nodes == real_nodes + unseen
+    assert len(nodes) == len(set(both_nodes))
+    if case == "imag-subdivides-more":
+        assert unseen

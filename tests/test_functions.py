@@ -51,6 +51,15 @@ def test_rejects_non_integrable_exponents():
         EndpointWeightedFunction(0.0, -1.5, constant_series())
 
 
+@pytest.mark.parametrize("a, b", [
+    (math.nan, 0.0), (complex(0.3, math.nan), 0.0), (0.3, math.inf),
+    (0.3, complex(0.0, math.inf)), (complex(-math.inf, 0.0), 0.0),
+])
+def test_rejects_non_finite_exponents(a, b):
+    with pytest.raises(ExponentOutOfRange, match="must be finite"):
+        EndpointWeightedFunction(a, b, constant_series())
+
+
 def test_complex_exponents_single_valued():
     f = EndpointWeightedFunction(-0.5 + 0.1j, -0.5 - 0.1j, constant_series())
     v = f(0.3)
