@@ -1,7 +1,8 @@
 """Command-line surface: transform tables, airfoil inversion, spectrum tools.
 
 Exit codes: 0 success, 1 failing identity report, 2 spec/argument parse error,
-3 quadrature failure, 4 unsolvable inversion, 5 unsupported space descriptor.
+3 quadrature failure or non-finite result, 4 unsolvable inversion,
+5 unsupported space descriptor.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .errors import (
     FhtError,
     FunctionSpecError,
     NoConvergence,
+    NonFiniteResult,
+    NonFiniteSample,
     NotSolvable,
     SingularEvaluation,
     UnsupportedDescriptor,
@@ -105,10 +108,14 @@ class FunctionSpec:
                 raise FunctionSpecError(f"cannot read {self.path}: {exc}") from exc
             return sampled_to_weighted(sampled_from_csv(text))
         if self.kind == "poly":
-            tc = np.polynomial.chebyshev.poly2cheb(self.coeffs)
-            return EndpointWeightedFunction(
-                0.0, 0.0, ChebyshevSeries(tc, FIRST_KIND)
-            )
+            with np.errstate(all="ignore"):
+                tc = np.polynomial.chebyshev.poly2cheb(self.coeffs)
+            try:
+                series = ChebyshevSeries(tc, FIRST_KIND)
+            except NonFiniteSample as exc:  # the coefficients are finite
+                raise NonFiniteResult(
+                    "the Chebyshev form of the polynomial overflowed") from exc
+            return EndpointWeightedFunction(0.0, 0.0, series)
         if self.kind in ("chebT", "chebU"):
             basis = FIRST_KIND if self.kind == "chebT" else SECOND_KIND
             return EndpointWeightedFunction(
@@ -235,8 +242,18 @@ def _parse_points(args, eps_edge):
 def cmd_transform(args, cfg):
     spec = parse_function_spec(args.f)
     pts = _parse_points(args, cfg.eps_edge)
-    image = transform(spec.to_function(), args.convention, cfg)
-    values = np.asarray(image(np.asarray(pts)), dtype=complex)
+    f = spec.to_function()
+    # Coefficients near the float limit can overflow on every route: the
+    # overflow is reported as one NonFiniteResult, without numpy's warnings.
+    try:
+        with np.errstate(all="ignore"):
+            image = transform(f, args.convention, cfg)
+            values = np.asarray(image(np.asarray(pts)), dtype=complex)
+    except NonFiniteSample as exc:  # f is finite, so a basis conversion overflowed
+        raise NonFiniteResult(f"T(f) overflowed: {exc}") from exc
+    if not np.isfinite(values).all():
+        bad = int(np.argmin(np.isfinite(values)))
+        raise NonFiniteResult(f"T(f) is not finite at x={float(pts[bad])!r}")
     if args.fmt == "csv":
         return table_to_csv(pts, values), 0
     return {
@@ -253,22 +270,25 @@ def cmd_transform(args, cfg):
 def cmd_invert(args, cfg):
     spec = parse_function_spec(args.g)
     g = spec.to_function()
-    if args.regime == airfoil.LOW:
-        solution = airfoil.solve_low(g, C=complex(args.constant), cfg=cfg)
-    else:
-        solution = airfoil.solve_high(g, cfg=cfg)
-    report = airfoil.verify_roundtrip(g, args.regime, C=complex(args.constant),
-                                      cfg=cfg)
+    try:  # as in cmd_transform; quadrature names a non-finite integral itself
+        with np.errstate(all="ignore"):
+            if args.regime == airfoil.LOW:
+                solution = airfoil.solve_low(g, C=complex(args.constant), cfg=cfg)
+            else:
+                solution = airfoil.solve_high(g, cfg=cfg)
+            report = airfoil.verify_roundtrip(g, args.regime, C=complex(args.constant),
+                                              cfg=cfg)
+            solvability = (airfoil.solvability_residual(g, cfg)
+                           if args.regime == airfoil.HIGH else None)
+    except NonFiniteSample as exc:  # g is finite, so a basis conversion overflowed
+        raise NonFiniteResult(f"the inversion overflowed: {exc}") from exc
     return {
         "command": "invert",
         "regime": args.regime,
         "rhs": spec.to_string(),
         "solution": spec_of_weighted(solution).to_string(),
         "roundtrip_residual": report.max_residual,
-        "solvability_residual": (
-            airfoil.solvability_residual(g, cfg) if args.regime == airfoil.HIGH
-            else None
-        ),
+        "solvability_residual": solvability,
         "constant_recovered": (
             None if report.constant_recovered is None
             else [report.constant_recovered.real, report.constant_recovered.imag]
@@ -542,6 +562,7 @@ def build_parser():
 _EXIT_TABLE = (
     ((FunctionSpecError, OSError), EXIT_PARSE, "parse error"),
     ((NoConvergence, SingularEvaluation), EXIT_QUADRATURE, "quadrature failure"),
+    ((NonFiniteResult,), EXIT_QUADRATURE, "non-finite result"),
     ((NotSolvable,), EXIT_NOT_SOLVABLE, "not solvable"),
     ((UnsupportedDescriptor,), EXIT_DESCRIPTOR, "unsupported descriptor"),
     ((FhtError,), EXIT_PARSE, "error"),

@@ -16,6 +16,7 @@ The spectral rules use the exact images of the two canonical weight classes:
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -132,41 +133,93 @@ def _quad_complex(g, a, b, cfg, real_only=False):
     return complex(re, im), err_re + err_im
 
 
-def _times_sin(f):
-    """The theta-integrand f(cos theta) * sin(theta), stable against endpoint blow-up.
+def _numpy_exp(z):
+    """np.exp(z) as a Python complex, without numpy's overflow warnings.
 
-    For endpoint-weighted f the weight times sin(theta) is rewritten as
-    2^(a+b+1) sin(theta/2)^(2a+1) cos(theta/2)^(2b+1), which stays finite for
-    all integrable exponents.  The terms that do not depend on theta are
-    computed once, here, not once per quadrature node.
+    cmath.exp returns the same bits as np.exp wherever Re z < 708 and Im z is
+    finite, and costs less per call.  Elsewhere it rounds differently (its
+    branch for Re z above log(DBL_MAX) - 1) or raises, so the theta-integrand
+    takes np.exp there; a non-finite result then fails in _quad.
     """
+    with np.errstate(all="ignore"):
+        return complex(np.exp(z))
+
+
+def _theta_integrand(f, t=None, ft=0j, dft=0j):
+    """The integrand of integrate_unit (t None) or of the p.v. quadrature at t.
+
+    After x = cos(theta) the first is f(x) sin(theta) and the second
+    (f(x) - f(t)) sin(theta) / (x - t), which is dft * sin(theta) where
+    |x - t| < 1e-13.  For endpoint-weighted f the weight times sin(theta) is
+    rewritten as 2^(a+b+1) sin(theta/2)^(2a+1) cos(theta/2)^(2b+1), which
+    stays finite for all integrable exponents, and the weight, the Clenshaw
+    sum of the series and the subtraction run in one flat closure: quad calls
+    it at every node, so everything fixed by f and t is computed here.
+    """
+    pv = t is not None
     if not isinstance(f, EndpointWeightedFunction):
-        return lambda theta: complex(f(math.cos(theta))) * math.sin(theta)
+        def plain(theta):
+            x = math.cos(theta)
+            s = math.sin(theta)
+            if not pv:
+                return complex(f(x)) * s
+            dx = x - t
+            if abs(dx) < 1e-13:
+                return dft * s
+            return (complex(f(x)) * s - ft * s) / dx
+
+        return plain
+
     a, b = complex(f.a), complex(f.b)
     log_two = (a + b + 1.0) * math.log(2.0)
     sin_power, cos_power = 2.0 * a + 1.0, 2.0 * b + 1.0
-    smooth = f.smooth
+    coeffs = f.smooth._coeff_list
+    c0, rest = coeffs[0], coeffs[:0:-1]
+    second_kind = f.smooth.basis == SECOND_KIND
+    # closure cells, read faster than module attributes at every node
+    cos, sin, log, exp = math.cos, math.sin, math.log, cmath.exp
 
-    def g(theta):
+    def weighted(theta):
+        x = cos(theta)
+        if pv:
+            dx = x - t
+            if -1e-13 < dx < 1e-13:  # abs(dx) < 1e-13, without a call
+                return dft * sin(theta)
         h = 0.5 * theta
-        sh = math.sin(h)
+        sh = sin(h)
         if sh < 1e-300:  # the value of max(sh, 1e-300), without a call
             sh = 1e-300
-        ch = math.cos(h)
+        ch = cos(h)
         if ch < 1e-300:
             ch = 1e-300
-        log_factor = log_two + sin_power * math.log(sh) + cos_power * math.log(ch)
-        # np.exp, not cmath.exp: the two differ in the last digit
-        return np.exp(log_factor) * complex(smooth(math.cos(theta)))
+        log_factor = log_two + sin_power * log(sh) + cos_power * log(ch)
+        if log_factor.real < 708.0:  # where cmath.exp equals np.exp, see _numpy_exp
+            try:
+                weight = exp(log_factor)
+            except ValueError:  # an infinite imaginary part
+                weight = _numpy_exp(log_factor)
+        else:
+            weight = _numpy_exp(log_factor)
+        # series._clenshaw, with 2.0 * x * b1 grouped as (2.0 * x) * b1 as there
+        two_x = 2.0 * x
+        b1 = b2 = 0.0
+        for c in rest:
+            b1, b2 = c + two_x * b1 - b2, b1
+        value = weight * complex(c0 + (two_x if second_kind else x) * b1 - b2)
+        if not pv:
+            return value
+        # numpy's complex division by a real dx multiplies by 1.0 / dx
+        return (value - ft * sin(theta)) * (1.0 / dx)
 
-    return g
+    return weighted
 
 
 def integrate_unit(f, cfg=DEFAULT_CONFIG):
     """int_{-1}^1 f(x) dx via the x = cos(theta) substitution."""
     f = _as_callable(f)
     real_only = _is_real(f)
-    val, err = _quad_complex(_times_sin(f), 0.0, math.pi, cfg, real_only=real_only)
+    val, err = _quad_complex(_theta_integrand(f), 0.0, math.pi, cfg,
+                             real_only=real_only)
     if err > max(cfg.abs_tol, cfg.rel_tol * abs(val)) * 10.0:
         raise NoConvergence(f"integral error estimate {err:.2e} too large")
     if real_only:
@@ -202,16 +255,7 @@ def _pv_at(f, t, cfg, real_only):
         raise SingularEvaluation(f"f is not finite at t={t}")
     phi = math.acos(t)
     dft = _derivative(f, t, h=min(1e-6, 0.25 * (1.0 - abs(t))))
-    times_sin = _times_sin(f)
-
-    def g(theta):
-        x = math.cos(theta)
-        dx = x - t
-        s = math.sin(theta)
-        if abs(dx) < 1e-13:
-            return dft * s
-        return (times_sin(theta) - ft * s) / dx
-
+    g = _theta_integrand(f, t, ft, dft)
     v1, e1 = _quad_complex(g, 0.0, phi, cfg, real_only=real_only)
     v2, e2 = _quad_complex(g, phi, math.pi, cfg, real_only=real_only)
     log_term = ft * math.log((1.0 - t) / (1.0 + t))

@@ -17,6 +17,10 @@ class SingularEvaluation(FhtError):
     """The transform target point hit a non-finite value of the integrand."""
 
 
+class NonFiniteResult(FhtError):
+    """A computed transform overflowed to inf or NaN for finite input."""
+
+
 class NoConvergence(FhtError):
     """Adaptive quadrature exhausted its panel budget without meeting tolerance."""
 

@@ -66,9 +66,6 @@ class EndpointWeightedFunction:
             val = val.real
         return val
 
-    def scaled(self, factor):
-        return EndpointWeightedFunction(self.a, self.b, self.smooth * factor)
-
     def shifted_exponents(self, da, db):
         return EndpointWeightedFunction(self.a + da, self.b + db, self.smooth)
 

@@ -344,6 +344,43 @@ def test_exit_code_table(tmp_path, capsys, argv, file_text, code, stderr_start):
     assert err.count("\n") == 1
 
 
+_NON_FINITE_QUADRATURE = "quadrature failure: quadrature returned a non-finite value\n"
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    pytest.param(["transform", "--f", "chebT:[1e308,1e308]", "--grid", "3"],
+                 "non-finite result: T(f) is not finite at x=-0.9\n", id="closed-form"),
+    pytest.param(["transform", "--f", "poly:[1e308,1e308]", "--grid", "3", "--format", "csv"],
+                 "non-finite result: T(f) is not finite at x=-0.9\n", id="closed-form-csv"),
+    pytest.param(["transform", "--f", "poly:[1e308,1e308,1e308,1e308,1e308,1e308]", "--grid", "3"],
+                 "non-finite result: the Chebyshev form of the polynomial overflowed\n",
+                 id="closed-form-conversion"),
+    pytest.param(["transform", "--f", "weighted:{0.5,0.5,chebU:[1e308,1e308]}", "--grid", "3"],
+                 "non-finite result: T(f) is not finite at x=-0.9\n", id="spectral"),
+    pytest.param(["transform", "--f", "weighted:{-0.5,-0.5,chebU:[1e308,1e308,1e308]}",
+                  "--grid", "3"],
+                 "non-finite result: T(f) overflowed: non-finite series coefficient\n",
+                 id="spectral-conversion"),
+    pytest.param(["transform", "--f", "weighted:{0.3,-0.4,chebT:[1e308,1e308]}", "--grid", "3"],
+                 _NON_FINITE_QUADRATURE, id="quadrature"),
+    pytest.param(["transform", "--f", "weighted:{2000,0,chebT:[1]}", "--points=0.1"],
+                 _NON_FINITE_QUADRATURE, id="quadrature-weight-overflow"),
+    pytest.param(["invert", "--g", "chebT:[1e308,1e308,1e308]", "--regime", "low"],
+                 _NON_FINITE_QUADRATURE, id="invert"),
+    pytest.param(["invert", "--g", "chebT:[1e308,-1e308]", "--regime", "low"],
+                 "quadrature failure: f is not finite at t=-0.95\n", id="invert-rhs-overflow"),
+    pytest.param(["invert", "--g", "chebT:[-1.5e308,0,1e308]", "--regime", "low"],
+                 "non-finite result: the inversion overflowed: non-finite series coefficient\n",
+                 id="invert-conversion"),
+])
+def test_overflow_exits_3_with_a_named_error(capsys, argv, stderr):
+    code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+    assert code == EXIT_QUADRATURE
+    assert out == ""
+    assert err == stderr
+    assert "Warning" not in err
+
+
 def test_repeated_main_calls_match_fresh_processes(capsys):
     """The parser is built once per process; no default or value leaks between calls."""
     argvs = [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitehilbert import engine
 from finitehilbert.engine import (
@@ -10,8 +12,9 @@ from finitehilbert.engine import (
     WIDOM,
     QuadratureConfig,
     _quad,
+    _derivative,
     _quad_complex,
-    _times_sin,
+    _theta_integrand,
     fht_hat,
     fht_check,
     fht_of_one,
@@ -279,11 +282,155 @@ def _eval_times_sin_reference(f, theta):
     lambda x: math.exp(x) * (1.0 - x * x) + 1j * x,
 ], ids=["real-exponents", "complex-exponents", "plain-series", "callable"])
 def test_theta_integrand_is_bit_identical_to_per_call_formula(func):
-    g = _times_sin(func)
+    g = _theta_integrand(func)
     thetas = [0.0, 5e-324, 1e-300, 1e-12, 1e-6, 0.3, 1.0, 0.5 * math.pi, 2.0,
               math.pi - 1e-6, math.pi - 1e-12, math.pi]
     for theta in thetas:
         assert g(theta) == _eval_times_sin_reference(func, theta)
+
+
+def _times_sin_reference(f):
+    """Reference: the theta-integrand as built before it became one flat closure.
+
+    The weighted branch takes np.exp, so its value is a numpy scalar, and
+    evaluates the series through ChebyshevSeries.__call__.
+    """
+    if not isinstance(f, EndpointWeightedFunction):
+        return lambda theta: complex(f(math.cos(theta))) * math.sin(theta)
+    a, b = complex(f.a), complex(f.b)
+    log_two = (a + b + 1.0) * math.log(2.0)
+    sin_power, cos_power = 2.0 * a + 1.0, 2.0 * b + 1.0
+    smooth = f.smooth
+
+    def g(theta):
+        h = 0.5 * theta
+        sh = max(math.sin(h), 1e-300)
+        ch = max(math.cos(h), 1e-300)
+        log_factor = log_two + sin_power * math.log(sh) + cos_power * math.log(ch)
+        return np.exp(log_factor) * complex(smooth(math.cos(theta)))
+
+    return g
+
+
+def _pv_integrand_reference(f, t, ft, dft):
+    """Reference: the p.v. integrand of _pv_at as built before, around
+    _times_sin_reference; for weighted f, / dx is numpy's complex division."""
+    times_sin = _times_sin_reference(f)
+
+    def g(theta):
+        x = math.cos(theta)
+        dx = x - t
+        s = math.sin(theta)
+        if abs(dx) < 1e-13:
+            return dft * s
+        return (times_sin(theta) - ft * s) / dx
+
+    return g
+
+
+def _reference_theta_integrand(f, t=None, ft=0j, dft=0j):
+    if t is None:
+        return _times_sin_reference(f)
+    return _pv_integrand_reference(f, t, ft, dft)
+
+
+def _pv_terms(f, t):
+    """f(t) and the derivative estimate, as _pv_at computes them."""
+    return complex(f(t)), _derivative(f, t, h=min(1e-6, 0.25 * (1.0 - abs(t))))
+
+
+# the endpoints, the sin(theta/2) clamp, and both sides of the 1e-12 edge; quad
+# stays in [0, pi], and only past pi does the cos(theta/2) clamp act
+_EDGE_THETAS = [0.0, 5e-324, 1e-300, 1e-12, math.pi - 1e-12, math.pi, math.pi + 1e-12]
+_REAL_EXPONENT = st.floats(-0.95, 3.0)
+_COMPLEX_EXPONENT = st.builds(complex, _REAL_EXPONENT, st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    exponents=st.one_of(
+        st.tuples(_REAL_EXPONENT, _REAL_EXPONENT),
+        st.tuples(_COMPLEX_EXPONENT, _COMPLEX_EXPONENT),
+        st.sampled_from([(0.0, 0.0), (0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5)]),
+    ),
+    degree=st.integers(0, 70),
+    basis=st.sampled_from([FIRST_KIND, SECOND_KIND]),
+    complex_coeffs=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(-0.99, 0.99),
+    theta=st.floats(0.0, math.pi),
+)
+def test_flat_theta_integrand_is_bit_identical_to_reference(
+        exponents, degree, basis, complex_coeffs, seed, t, theta):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(degree + 1) * 10.0 ** rng.uniform(-3, 3, degree + 1)
+    if complex_coeffs:
+        coeffs = coeffs + 1j * rng.standard_normal(degree + 1)
+    f = EndpointWeightedFunction(*exponents, ChebyshevSeries(coeffs, basis))
+    ft, dft = _pv_terms(f, t)
+    unit, unit_ref = _theta_integrand(f), _times_sin_reference(f)
+    pv, pv_ref = _theta_integrand(f, t, ft, dft), _pv_integrand_reference(f, t, ft, dft)
+    # theta = acos(t) takes the |x - t| < 1e-13 branch
+    for th in _EDGE_THETAS + [math.acos(t), theta]:
+        assert unit(th) == unit_ref(th)
+        assert pv(th) == pv_ref(th)
+
+
+def _equal(u, v, signed_zeros=False):
+    """Equal components, NaN matching NaN; with signed_zeros, -0.0 only matches -0.0.
+
+    The flat integrand multiplies by 1.0 / dx where numpy's division computes
+    (re + im * (0.0 / dx)) * (1.0 / dx), so a node value that is exactly zero
+    may differ from the reference in its sign, which only an integral whose
+    node values are all zero could show.
+    """
+    def same(p, q):
+        if math.isnan(p) or math.isnan(q):
+            return math.isnan(p) and math.isnan(q)
+        return p == q and (not signed_zeros or math.copysign(1.0, p) == math.copysign(1.0, q))
+
+    u, v = complex(u), complex(v)
+    return same(u.real, v.real) and same(u.imag, v.imag)
+
+
+@pytest.mark.parametrize("a, b", [
+    (1022.0, -0.5),  # the weight reaches exp(708.75), where cmath.exp rounds differently
+    (1023.2, -0.5),
+    (2000.0, 0.0),  # the weight overflows
+    (1e307, 0.0),  # 2a + 1 overflows
+    (0.3 + 1e306j, 0.0),  # an infinite imaginary part of the log-weight
+])
+def test_flat_theta_integrand_matches_reference_near_exp_overflow(a, b):
+    f = EndpointWeightedFunction(a, b, ChebyshevSeries([1e-300, 2e-300], FIRST_KIND))
+    t = 0.1
+    thetas = _EDGE_THETAS + list(np.linspace(0.0, math.pi, 2001)) + [math.acos(t)]
+    with np.errstate(all="ignore"):  # the reference's np.exp warns here
+        ft, dft = _pv_terms(f, t)
+        unit, unit_ref = _theta_integrand(f), _times_sin_reference(f)
+        pv, pv_ref = _theta_integrand(f, t, ft, dft), _pv_integrand_reference(f, t, ft, dft)
+        for th in thetas:
+            assert _equal(unit(th), unit_ref(th))
+            assert _equal(pv(th), pv_ref(th))
+
+
+@pytest.mark.parametrize("func", [
+    EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([1.0, -2.0, 0.5], FIRST_KIND)),
+    EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([1j, 2j], FIRST_KIND)),
+    EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([0.0], FIRST_KIND)),
+    EndpointWeightedFunction(0.3 + 0.2j, -0.4, ChebyshevSeries([-0.0, 0.0], SECOND_KIND)),
+    EndpointWeightedFunction(-0.3 + 0.2j, -0.7 - 0.2j,
+                             ChebyshevSeries([1.0 + 0.5j, 0.25j, -0.5], SECOND_KIND)),
+    EndpointWeightedFunction(0.5, 0.5, ChebyshevSeries([0.3, 1.0, -0.7], SECOND_KIND)),
+    xi_function(0.2 + 0.3j),
+    lambda x: math.exp(x) * (1.0 - x * x) + 1j * x,
+], ids=["real", "imaginary-series", "zero", "signed-zeros", "complex", "weight-w", "xi",
+        "callable"])
+def test_quadrature_is_bit_identical_with_reference_integrands(func, monkeypatch):
+    ts = np.linspace(-0.9, 0.9, 7)
+    values = list(fht_pointwise(func, ts)) + [complex(integrate_unit(func))]
+    monkeypatch.setattr(engine, "_theta_integrand", _reference_theta_integrand)
+    reference = list(fht_pointwise(func, ts)) + [complex(integrate_unit(func))]
+    assert all(_equal(v, r, signed_zeros=True) for v, r in zip(values, reference))
 
 
 def _quad_complex_reference(g, a, b, cfg, real_only=False):
@@ -340,7 +487,7 @@ def test_quad_complex_is_bit_identical_to_two_pass_reference(case, monkeypatch):
 
 def test_quad_complex_real_only_is_bit_identical_to_reference():
     f = EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([1.0, -2.0, 0.5], FIRST_KIND))
-    g = _times_sin(f)
+    g = _theta_integrand(f)
     assert _quad_complex(g, 0.0, math.pi, DEFAULT_CONFIG, real_only=True) == (
         _quad_complex_reference(g, 0.0, math.pi, DEFAULT_CONFIG, real_only=True))
 
