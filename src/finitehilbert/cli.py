@@ -157,8 +157,8 @@ def spec_of_weighted(func):
 
 
 # ---------------------------------------------------------------------------
-# Config file (--config or FHT_CONFIG): the quadrature settings, which no flag
-# sets.  Every other setting is a flag only.
+# Config file (--config or FHT_CONFIG), read by transform, invert and eigencheck:
+# the quadrature settings, which no flag sets.  Every other setting is a flag only.
 
 _CONFIG_CASTS = {
     "abs_tol": float, "rel_tol": float, "max_panels": int, "eps_edge": float,
@@ -239,7 +239,8 @@ def _parse_points(args, eps_edge):
 # Each cmd_* returns (payload, exit code); main renders and writes the payload.
 # A payload is a JSON-ready dict, or the finished text of a CSV table.
 
-def cmd_transform(args, cfg):
+def cmd_transform(args):
+    cfg = load_run_config(args.config)
     spec = parse_function_spec(args.f)
     pts = _parse_points(args, cfg.eps_edge)
     f = spec.to_function()
@@ -267,16 +268,19 @@ def cmd_transform(args, cfg):
     }, 0
 
 
-def cmd_invert(args, cfg):
+def cmd_invert(args):
+    if args.constant is not None and args.regime == airfoil.HIGH:
+        raise FunctionSpecError("--constant applies to the low regime only")
+    cfg = load_run_config(args.config)
     spec = parse_function_spec(args.g)
     g = spec.to_function()
     try:  # as in cmd_transform; quadrature names a non-finite integral itself
         with np.errstate(all="ignore"):
             if args.regime == airfoil.LOW:
-                solution = airfoil.solve_low(g, C=complex(args.constant), cfg=cfg)
+                solution = airfoil.solve_low(g, C=args.constant or 0j, cfg=cfg)
             else:
                 solution = airfoil.solve_high(g, cfg=cfg)
-            report = airfoil.verify_roundtrip(g, args.regime, C=complex(args.constant),
+            report = airfoil.verify_roundtrip(g, args.regime, C=args.constant or 0j,
                                               cfg=cfg)
             solvability = (airfoil.solvability_residual(g, cfg)
                            if args.regime == airfoil.HIGH else None)
@@ -296,7 +300,7 @@ def cmd_invert(args, cfg):
     }, 0
 
 
-def cmd_classify(args, cfg):
+def cmd_classify(args):
     desc = spectrum.resolve_catalog(args.space)
     fs = spectrum.classify_space(desc)
     if args.boundary_csv:
@@ -317,7 +321,8 @@ def cmd_classify(args, cfg):
     return payload, 0
 
 
-def cmd_eigencheck(args, cfg):
+def cmd_eigencheck(args):
+    cfg = load_run_config(args.config)
     lam = args.lam
     gamma = spectrum.gamma_of_lambda(lam)
     grid = np.linspace(-0.9, 0.9, args.grid)
@@ -390,7 +395,7 @@ _SUITES = {
 }
 
 
-def cmd_identities(args, cfg):
+def cmd_identities(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     rng = np.random.default_rng(args.seed)
     reports = []
@@ -406,7 +411,7 @@ def cmd_identities(args, cfg):
     }, 0 if all_pass else EXIT_REPORT_FAIL
 
 
-def cmd_norms(args, cfg):
+def cmd_norms(args):
     reports = [
         harness.norm_probe(p, family_size=args.family_size, seed=args.seed)
         for p in args.p
@@ -472,20 +477,24 @@ def _float_triple(text):
 
 
 def _complex_pair(text):
-    """re[,im] as a complex number; a missing imaginary part is 0."""
-    re_part, _, im_part = text.partition(",")
+    """re[,im] (a missing imaginary part is 0) or a Python literal such as (1+2j)."""
+    re_part, comma, im_part = text.partition(",")
     try:
-        value = complex(float(re_part), float(im_part or "0"))
+        value = complex(float(re_part), float(im_part or "0")) if comma else complex(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid re[,im] value: {text!r}") from None
     return _finite(value, text)
 
 
 def _add_common(sub):
-    sub.add_argument("--config", help="key=value config file (or set FHT_CONFIG)")
     sub.add_argument("--output", help="write output atomically to this path")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp field from JSON output")
+
+
+def _add_common_with_config(sub):
+    sub.add_argument("--config", help="key=value config file (or set FHT_CONFIG)")
+    _add_common(sub)
 
 
 @functools.cache
@@ -504,15 +513,15 @@ def build_parser():
     group.add_argument("--grid", type=_positive_int, help="uniform interior grid size")
     p.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
     p.add_argument("--convention", choices=[TRICOMI, WIDOM], default=TRICOMI)
-    _add_common(p)
+    _add_common_with_config(p)
     p.set_defaults(func=cmd_transform)
 
     p = subs.add_parser("invert", help="solve the airfoil equation T(f) = g")
     p.add_argument("--g", required=True, help="right-hand side spec")
     p.add_argument("--regime", required=True, choices=[airfoil.LOW, airfoil.HIGH])
-    p.add_argument("--constant", default="0",
-                   help="homogeneous coefficient C (low regime)")
-    _add_common(p)
+    p.add_argument("--constant", type=_complex_pair,
+                   help="homogeneous coefficient C (low regime only), re[,im] or (re+imj)")
+    _add_common_with_config(p)
     p.set_defaults(func=cmd_invert)
 
     p = subs.add_parser("classify-spectrum", aliases=["classify"],
@@ -531,7 +540,7 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=_complex_pair, required=True,
                    help="re,im")
     p.add_argument("--grid", type=_positive_int, default=20)
-    _add_common(p)
+    _add_common_with_config(p)
     p.set_defaults(func=cmd_eigencheck)
 
     p = subs.add_parser("identities", help="run identity suites")
@@ -572,7 +581,7 @@ _EXIT_TABLE = (
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        payload, code = args.func(args, load_run_config(args.config))
+        payload, code = args.func(args)
         if not isinstance(payload, str):
             payload = _json_text(payload, not args.no_timestamp)
         _emit(payload, args.output)

@@ -28,6 +28,7 @@ from .errors import (
     DegenerateGrid,
     ExponentOutOfRange,
     NoConvergence,
+    PointOutsideWindow,
     SingularEvaluation,
     UnsupportedExponents,
 )
@@ -105,28 +106,49 @@ def _quad(g, a, b, cfg):
     return val, err
 
 
+# A finite node value above about 1e305 overflows QUADPACK's error estimates,
+# and scipy's quad can then end the process with a bus error (for example on
+# 1.7e308 / (1 + x) over (0, pi/2)).  So a node value beyond this bound stops
+# the quadrature; inf and NaN pass, and _quad reports the non-finite result.
+_MAX_NODE_VALUE = 1e300
+
+
+def _beyond_bound(value):
+    if math.isfinite(value):
+        raise NoConvergence(f"integrand value {value!r} is too large for quadrature")
+    return value
+
+
 def _quad_complex(g, a, b, cfg, real_only=False):
     """Integrate the real part, then the imaginary part, in two quad passes.
 
     The passes stay separate, so each sees the node set and the values it
     would see on its own.  A complex g still runs once per distinct node:
     the real pass keeps g(s), and the imaginary pass reads .imag from it,
-    calling g only at nodes the real pass did not visit.
+    calling g only at nodes the real pass did not visit.  Each pass checks
+    its node values against _MAX_NODE_VALUE.
     """
+    big = _MAX_NODE_VALUE
     if real_only:
-        re, err_re = _quad(lambda s: g(s).real, a, b, cfg)
+        def real_of_real(s):
+            value = g(s).real
+            return value if -big < value < big else _beyond_bound(value)
+
+        re, err_re = _quad(real_of_real, a, b, cfg)
         return complex(re), err_re
     seen = {}
 
     def real_part(s):
         value = seen[s] = g(s)
-        return value.real
+        value = value.real
+        return value if -big < value < big else _beyond_bound(value)
 
     def imag_part(s):
         value = seen.get(s)
         if value is None:
             value = g(s)
-        return value.imag
+        value = value.imag
+        return value if -big < value < big else _beyond_bound(value)
 
     re, err_re = _quad(real_part, a, b, cfg)
     im, err_im = _quad(imag_part, a, b, cfg)
@@ -240,7 +262,8 @@ def fht_pointwise(f, t, cfg=DEFAULT_CONFIG):
     f = _as_callable(f)
     ts = np.asarray(t, dtype=float)
     if not np.all((-1.0 + cfg.eps_edge <= ts) & (ts <= 1.0 - cfg.eps_edge)):
-        raise ValueError("t must lie in the interior window")
+        raise PointOutsideWindow(
+            f"t must lie in [-1+eps_edge, 1-eps_edge] (eps_edge = {cfg.eps_edge})")
     real_only = _is_real(f)
     values = [_pv_at(f, s, cfg, real_only) for s in ts.ravel().tolist()]
     if ts.ndim == 0:

@@ -29,6 +29,10 @@ class UnsupportedExponents(FhtError):
     """The closed-form spectral rules only cover the two canonical weight classes."""
 
 
+class PointOutsideWindow(FhtError):
+    """A transform point lies outside the interior window [-1+eps_edge, 1-eps_edge]."""
+
+
 class ExponentOutOfRange(FhtError):
     """A weight exponent violates the admissible window."""
 

@@ -125,10 +125,6 @@ class SampledFunction:
     def cell_widths(self):
         return np.diff(self.cell_edges())
 
-    @property
-    def real_valued(self):
-        return bool(np.all(self.values.imag == 0.0))
-
 
 def sample(func, n, eps_edge=DEFAULT_EPS_EDGE, spacing="uniform"):
     """Sample a callable on an interior grid.

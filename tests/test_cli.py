@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import finitehilbert
 from finitehilbert.cli import (
@@ -15,6 +21,7 @@ from finitehilbert.cli import (
     EXIT_PARSE,
     EXIT_QUADRATURE,
     FunctionSpec,
+    _complex_pair,
     load_run_config,
     main,
     parse_function_spec,
@@ -72,20 +79,50 @@ def test_config_rejects_unknown_key(tmp_path):
         load_run_config(str(cfg_file))
 
 
+_CLASSIFY_ARGV = ["classify", "--space", "lebesgue:1.5", "--lambda", "0.2,0.3"]
+_IDENTITIES_ARGV = ["identities", "--suite", "kernel"]
+_NORMS_ARGV = ["norms", "--p", "1.5", "--family-size", "2", "--weighted", "0.2,-0.3,1.5"]
+
+
 @pytest.mark.parametrize("text", ["fmt = csv\n", "convention = widom\n", "seed = 5\n"])
 @pytest.mark.parametrize("argv", [
     ["transform", "--f", "poly:[0,1]", "--points", "0"],
-    ["classify", "--space", "lebesgue:1.5"],
-    ["identities", "--suite", "kernel"],
-], ids=["transform", "classify", "identities"])
+    ["invert", "--g", "chebT:[0,1]", "--regime", "high"],
+    ["eigencheck", "--lambda", "0.2,0.3"],
+    _CLASSIFY_ARGV,
+    _IDENTITIES_ARGV,
+    _NORMS_ARGV,
+], ids=["transform", "invert", "eigencheck", "classify", "identities", "norms"])
 def test_config_rejects_flag_settings(tmp_path, capsys, argv, text):
-    # format, convention and seed are flags only, on every subcommand
+    # format, convention and seed are flags only, on every subcommand: a config file
+    # naming one is refused where a config is read, and --config itself elsewhere
     cfg_file = tmp_path / "fht.conf"
     cfg_file.write_text(text)
-    code, out, err = run_cli(capsys, *argv, "--config", str(cfg_file))
+    try:
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg_file))
+    except SystemExit as exc:  # argparse: this subcommand takes no --config
+        code, (out, err) = exc.code, capsys.readouterr()
     assert code == EXIT_PARSE
     assert out == ""
-    assert err.startswith("parse error: unknown config key")
+    if argv[0] in ("transform", "invert", "eigencheck"):
+        assert err.startswith("parse error: unknown config key")
+    else:
+        assert "unrecognized arguments: --config" in err
+
+
+@pytest.mark.parametrize("argv", [_CLASSIFY_ARGV, _IDENTITIES_ARGV, _NORMS_ARGV],
+                         ids=["classify", "identities", "norms"])
+def test_fht_config_read_only_where_used(tmp_path, capsys, monkeypatch, argv):
+    """classify, identities and norms read no config file, so FHT_CONFIG naming a
+    missing file changes nothing for them."""
+    plain = run_cli(capsys, *argv, "--no-timestamp")
+    assert plain[0] == 0
+    monkeypatch.setenv("FHT_CONFIG", str(tmp_path / "missing.conf"))
+    assert run_cli(capsys, *argv, "--no-timestamp") == plain
+    # the subcommands that do read it still fail on the missing file
+    code, out, err = run_cli(capsys, "eigencheck", "--lambda", "0.2,0.3")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +178,34 @@ def test_invert_low(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["solution"] == "weighted:{-0.5,-0.5,chebT:[0.0,1.0]}"
+
+
+@pytest.mark.parametrize("text, solution", [
+    ("0.25", "weighted:{-0.5,-0.5,chebT:[0.25,-0.25,0.5,0.25]}"),
+    ("-0", "weighted:{-0.5,-0.5,chebT:[0.0,-0.25,0.5,0.25]}"),
+    ("(1.5-0.25j)", "weighted:{-0.5,-0.5,chebT:[(1.5-0.25j),-0.25,0.5,0.25]}"),
+])
+def test_invert_constant_forms(capsys, text, solution):
+    # --constant was once read by complex(text); the parsed value is that number,
+    # signed zeros included, and the output is that of the equivalent re,im form
+    value = _complex_pair(text)
+    assert (math.copysign(1.0, value.real), value) == (
+        math.copysign(1.0, complex(text).real), complex(text))
+    argv = ["invert", "--g", "chebT:[0,1,0.5]", "--regime", "low", "--no-timestamp"]
+    code, out, err = run_cli(capsys, *argv, f"--constant={text}")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["solution"] == solution
+    pair = f"{value.real!r},{value.imag!r}"
+    assert run_cli(capsys, *argv, f"--constant={pair}") == (code, out, err)
+    if not value:  # a zero constant is no constant
+        assert run_cli(capsys, *argv) == (code, out, err)
+
+
+def test_invert_high_regime_rejects_constant(capsys):
+    code, out, err = run_cli(capsys, "invert", "--g", "chebT:[0,1]", "--regime", "high",
+                             "--constant", "1")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "parse error: --constant applies to the low regime only\n"
 
 
 def test_classify_point_and_alias(capsys):
@@ -260,6 +325,11 @@ _CONFIG_ARGV = ["transform", "--f", "poly:[0,1]", "--points", "0", "--config", "
     pytest.param(_CONFIG_ARGV, "rel_tol = nan\n", id="config-nan-tolerance"),
     pytest.param(["transform", "--f", "poly:[0,1]", "--points", "1.5",
                   "--config", "{file}"], "eps_edge = -1\n", id="config-negative-edge"),
+    # an edge that leaves the fixed inner grids of invert and eigencheck outside the window
+    pytest.param(["invert", "--g", "chebT:[0,1]", "--regime", "low", "--config", "{file}"],
+                 "eps_edge = 0.5\n", id="invert-config-wide-edge"),
+    pytest.param(["eigencheck", "--lambda", "0.2,0.3", "--config", "{file}"],
+                 "eps_edge = 0.5\n", id="eigencheck-config-wide-edge"),
     pytest.param(["norms", "--p", "abc"], None, id="norms-p-not-float"),
     pytest.param(["norms", "--weighted", "1,2"], None, id="norms-weighted-two-values"),
     pytest.param(["norms", "--weighted", "a,b,c"], None, id="norms-weighted-not-float"),
@@ -297,6 +367,11 @@ _CONFIG_ARGV = ["transform", "--f", "poly:[0,1]", "--points", "0", "--config", "
                  id="weighted-exponent-imag-inf"),
     pytest.param(["invert", "--g", "weighted:{nan,0,chebT:[1]}", "--regime", "high"], None,
                  id="invert-weighted-exponent-nan"),
+    # --constant is a finite complex number, and only the low regime has one
+    *(pytest.param(["invert", "--g", "chebT:[0,1]", "--regime", "low", f"--constant={c}"],
+                   None, id=f"invert-constant-{c}") for c in ("abc", "nan", "inf", "1+nanj")),
+    pytest.param(["invert", "--g", "chebT:[0,1]", "--regime", "high", "--constant", "1"], None,
+                 id="invert-high-constant"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, file_text):
     if file_text is not None:
@@ -344,7 +419,9 @@ def test_exit_code_table(tmp_path, capsys, argv, file_text, code, stderr_start):
     assert err.count("\n") == 1
 
 
-_NON_FINITE_QUADRATURE = "quadrature failure: quadrature returned a non-finite value\n"
+# quadrature stops at a node value beyond 1e300, where QUADPACK's sums overflow
+_TOO_LARGE_FOR_QUAD = re.compile(
+    r"quadrature failure: integrand value -?\d\.\d+e\+30\d is too large for quadrature\n")
 
 
 @pytest.mark.parametrize("argv, stderr", [
@@ -362,11 +439,14 @@ _NON_FINITE_QUADRATURE = "quadrature failure: quadrature returned a non-finite v
                  "non-finite result: T(f) overflowed: non-finite series coefficient\n",
                  id="spectral-conversion"),
     pytest.param(["transform", "--f", "weighted:{0.3,-0.4,chebT:[1e308,1e308]}", "--grid", "3"],
-                 _NON_FINITE_QUADRATURE, id="quadrature"),
+                 _TOO_LARGE_FOR_QUAD, id="quadrature"),
     pytest.param(["transform", "--f", "weighted:{2000,0,chebT:[1]}", "--points=0.1"],
-                 _NON_FINITE_QUADRATURE, id="quadrature-weight-overflow"),
+                 _TOO_LARGE_FOR_QUAD, id="quadrature-weight-overflow"),
     pytest.param(["invert", "--g", "chebT:[1e308,1e308,1e308]", "--regime", "low"],
-                 _NON_FINITE_QUADRATURE, id="invert"),
+                 _TOO_LARGE_FOR_QUAD, id="invert"),
+    # a node value of about 1.2e308 once crashed scipy's quad with a bus error
+    pytest.param(["transform", "--f", "weighted:{-0.5,0.3,chebT:[1e308]}", "--points=0"],
+                 _TOO_LARGE_FOR_QUAD, id="quadrature-bus-error"),
     pytest.param(["invert", "--g", "chebT:[1e308,-1e308]", "--regime", "low"],
                  "quadrature failure: f is not finite at t=-0.95\n", id="invert-rhs-overflow"),
     pytest.param(["invert", "--g", "chebT:[-1.5e308,0,1e308]", "--regime", "low"],
@@ -377,7 +457,7 @@ def test_overflow_exits_3_with_a_named_error(capsys, argv, stderr):
     code, out, err = run_cli(capsys, *argv, "--no-timestamp")
     assert code == EXIT_QUADRATURE
     assert out == ""
-    assert err == stderr
+    assert stderr.fullmatch(err) if isinstance(stderr, re.Pattern) else err == stderr
     assert "Warning" not in err
 
 
@@ -409,3 +489,152 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         fresh.append((proc.returncode, out, err))
     assert in_process[0][0] == EXIT_PARSE
     assert in_process == fresh
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: whatever the arguments, fht ends in a documented exit code and
+# prints neither a traceback nor a warning.  Each flag draws from well-formed
+# values or from malformed ones; sizes, families and suites are the cheap ones.
+
+_NOISE = st.one_of(
+    st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e400", "-0", "1,2,3", "(1+2j)",
+                     "1+nanj", "0x10", "[", "{}", ",", "1,", "-1"]),
+    st.text(alphabet="0123456789.,-+ejnaifx()[]:{}", max_size=10),
+)
+
+
+def _joined(elements, min_size=1, max_size=3):
+    return st.lists(elements, min_size=min_size, max_size=max_size).map(",".join)
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, **kw).map(repr)
+
+
+def _not_finite_floats(text):
+    try:
+        return not all(math.isfinite(float(tok)) for tok in text.split(","))
+    except ValueError:
+        return True
+
+
+_COEFF = st.one_of(_floats(-10.0, 10.0), st.sampled_from(["1e308", "-1e308", "1j", "0.5-2j"]))
+_SERIES = st.builds("{}:[{}]".format, st.sampled_from(["poly", "chebT", "chebU"]),
+                    _joined(_COEFF))
+_EXPONENT = st.sampled_from(["0", "0.5", "-0.5", "0.3", "-0.4", "0.2+0.1j", "2000"])
+_SPEC = st.one_of(
+    _SERIES,
+    st.builds("weighted:{{{},{},{}:[{}]}}".format, _EXPONENT, _EXPONENT,
+              st.sampled_from(["chebT", "chebU"]), _joined(_COEFF)),
+)
+_BAD_SPEC = st.one_of(
+    _NOISE, st.sampled_from(["csv:{tmp}/missing.csv", "junk:[1]", "poly:[]", "chebT:[nan]",
+                             "weighted:{nan,0,chebT:[1]}", "weighted:{-1,0,chebT:[1]}"]))
+_SPACE = st.one_of(
+    st.sampled_from(["lebesgue:1.5", "lebesgue:3", "lebesgue:2", "lorentz:2,1",
+                     "lorentz:2,inf", "lorentz:1.5,3", "indexed:3,1.5,0,0",
+                     "indexed:1.5,3,0,0", "hardy:2"]),
+    st.builds("lebesgue:{}".format, _floats(0.5, 10.0)),
+    st.builds("lorentz:{},{}".format, _floats(0.5, 10.0), _floats(0.5, 10.0)),
+)
+_LAMBDA = st.one_of(st.builds("{},{}".format, _floats(-2.0, 2.0), _floats(-2.0, 2.0)),
+                    _floats(-2.0, 2.0), st.complex_numbers(max_magnitude=2.0).map(repr))
+_SIZE = st.integers(1, 3).map(str)
+_BAD_SIZE = st.one_of(st.integers(-2, 0).map(str), _NOISE)
+_SEED = st.integers(0, 2**40).map(str)
+_TMP_FILE = st.sampled_from(["{tmp}/out", "{tmp}/missing/out"])
+_CONFIGS = ["max_panels = 64\n", "abs_tol = 1e-9\nrel_tol = 1e-9\n", "eps_edge = 0.5\n",
+            "seed = 1\n", "max_panels = abc\n", "abs_tol = 0\n"]
+
+# flag -> (well-formed values, malformed values); None where every value is malformed
+_COMMANDS = {
+    "transform": {
+        "--f": (_SPEC, _BAD_SPEC),
+        "--points": (_joined(_floats(-0.95, 0.95)), st.one_of(_NOISE, _joined(_floats(-2, 2)))),
+        "--grid": (_SIZE, _BAD_SIZE),
+        "--format": (st.sampled_from(["json", "csv"]), _NOISE),
+        "--convention": (st.sampled_from(["tricomi", "widom"]), _NOISE),
+    },
+    "invert": {
+        "--g": (_SERIES, _BAD_SPEC),  # a weighted g costs 64 quadratures
+        "--regime": (st.sampled_from(["low", "high"]), _NOISE),
+        "--constant": (_LAMBDA, _NOISE),
+    },
+    "classify": {
+        "--space": (_SPACE, _NOISE),
+        "--lambda": (_LAMBDA, _NOISE),
+        "--boundary-points": (_SIZE, _BAD_SIZE),
+        "--boundary-csv": (_TMP_FILE, None),
+    },
+    "eigencheck": {"--lambda": (_LAMBDA, _NOISE), "--grid": (_SIZE, _BAD_SIZE)},
+    "identities": {"--suite": (st.sampled_from(["kernel", "parseval"]), _NOISE),
+                   "--seed": (_SEED, _BAD_SIZE)},
+    "norms": {
+        # --p is drawn inside (1,2) or malformed: a finite p outside (1,2) still
+        # raises ValueError from harness.norm_probe, a known defect that
+        # bench/test_bench.py pins until the benchmark's next version
+        "--p": (_joined(_floats(1.0, 2.0, exclude_min=True, exclude_max=True), max_size=2),
+                _NOISE.filter(_not_finite_floats)),
+        "--family-size": (_SIZE, _BAD_SIZE),
+        "--weighted": (st.builds("{},{},{}".format, _floats(-0.6, 0.6), _floats(-0.6, 0.6),
+                                 _floats(1.0, 3.0)),
+                       st.one_of(_NOISE, _joined(_floats(-2, 2), max_size=4))),
+        "--seed": (_SEED, _BAD_SIZE),
+    },
+}
+_ALL_FLAGS = {flag for flags in _COMMANDS.values() for flag in flags} | {"--bogus"}
+_REQUIRED = {"transform": {"--f"}, "invert": {"--g", "--regime"}, "classify": {"--space"},
+             "eigencheck": {"--lambda"}, "identities": {"--suite"}, "norms": set()}
+
+
+@st.composite
+def _argv(draw):
+    """One fht argv; a clean draw (half of them) gives every flag a well-formed value."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    clean = draw(st.booleans())
+    flags = dict(_COMMANDS[command])
+    required = _REQUIRED[command] if clean else set()
+    if clean and command == "transform":  # exactly one of its two grids
+        grid, other = draw(st.permutations(["--points", "--grid"]))
+        del flags[other]
+        required = required | {grid}
+    argv = [command]
+    for flag, (good, bad) in flags.items():
+        # each flag is given three times in four; a clean draw always has the required ones
+        if flag in required or draw(st.integers(0, 3)):
+            malformed = bad is not None and not clean and draw(st.booleans())
+            argv.append(f"{flag}={draw(bad if malformed else good)}")
+    if draw(st.booleans()):
+        config = draw(st.integers(0, 1 if clean else len(_CONFIGS)))  # the last is missing
+        argv.append(f"--config={{tmp}}/{config}.conf")
+    if not clean and not draw(st.integers(0, 3)):  # a flag this subcommand lacks
+        argv.append(f"{draw(st.sampled_from(sorted(_ALL_FLAGS - set(_COMMANDS[command]))))}=1")
+    if not draw(st.integers(0, 3)):
+        argv.append(f"--output={draw(_TMP_FILE)}")
+    if draw(st.booleans()):
+        argv.append("--no-timestamp")
+    return argv
+
+
+# derandomized: the same 150 argv lists on every run keep tier-1 deterministic
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_argv_fuzz_ends_in_a_documented_exit_code(tmp_path, argv):
+    for i, text in enumerate(_CONFIGS):  # tmp_path is shared by all examples
+        path = tmp_path / f"{i}.conf"
+        if not path.exists():
+            path.write_text(text)
+    argv = [tok.replace("{tmp}", str(tmp_path)) for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in range(6), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert "Warning" not in err.getvalue()
+    assert not caught, (argv, [str(w.message) for w in caught])

@@ -27,7 +27,7 @@ from finitehilbert.engine import (
     transform,
     weighted_transform,
 )
-from finitehilbert.errors import ExponentOutOfRange, UnsupportedExponents
+from finitehilbert.errors import ExponentOutOfRange, NoConvergence, UnsupportedExponents
 from finitehilbert.functions import (
     EndpointWeightedFunction,
     SampledFunction,
@@ -490,6 +490,21 @@ def test_quad_complex_real_only_is_bit_identical_to_reference():
     g = _theta_integrand(f)
     assert _quad_complex(g, 0.0, math.pi, DEFAULT_CONFIG, real_only=True) == (
         _quad_complex_reference(g, 0.0, math.pi, DEFAULT_CONFIG, real_only=True))
+
+
+@pytest.mark.parametrize("unit, real_only", [(1.0, True), (1.0, False), (1j, False)],
+                         ids=["real-only", "real-part", "imag-part"])
+def test_quad_complex_stops_at_node_values_quad_cannot_sum(unit, real_only):
+    # scipy's quad ended the process with a bus error on 1.7e308 / (1 + s) over (0, pi/2)
+    with pytest.raises(NoConvergence, match="is too large for quadrature"):
+        _quad_complex(lambda s: unit * 1.7e308 / (1.0 + s), 0.0, 0.5 * math.pi,
+                      DEFAULT_CONFIG, real_only=real_only)
+
+
+def test_quad_complex_leaves_non_finite_node_values_to_quad():
+    with pytest.raises(NoConvergence, match="quadrature returned a non-finite value"):
+        _quad_complex(lambda s: complex(math.inf if s > 0.5 else 1.0, 1.0), 0.0, 1.0,
+                      DEFAULT_CONFIG)
 
 
 def _counting(g):
