@@ -497,10 +497,40 @@ def _add_common_with_config(sub):
     _add_common(sub)
 
 
+# Flags that take a comma-separated list of numbers, and the start of a
+# negative number.
+_NUMBER_LIST_FLAGS = frozenset({"--points", "--lambda", "--constant", "--weighted"})
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads `--lambda -0.3,0.2` as `--lambda=-0.3,0.2`.
+
+    argparse takes a token that starts with '-' for an option unless the whole
+    token is one number, so a list with a negative first value would need the
+    '=' form.  Only the list flags this parser (or subparser) has are joined.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        flags = _NUMBER_LIST_FLAGS.intersection(self._option_string_actions)
+        if args is not None and not flags.isdisjoint(args):
+            joined = []
+            for index, token in enumerate(args):
+                if token == "--":  # everything after it is positional
+                    joined += args[index:]
+                    break
+                if joined and joined[-1] in flags and _NEGATIVE_NUMBER.match(token):
+                    joined[-1] += "=" + token
+                else:
+                    joined.append(token)
+            args = joined
+        return super().parse_known_args(args, namespace)
+
+
 @functools.cache
 def build_parser():
     """The fht parser, built once per process: argparse setup dominates a short run."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fht",
         description="Finite Hilbert transform toolkit on (-1,1)",
     )

@@ -208,6 +208,29 @@ def test_invert_high_regime_rejects_constant(capsys):
     assert err == "parse error: --constant applies to the low regime only\n"
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["eigencheck"], "--lambda", "-0.3,0.2"),
+    (["classify", "--space", "lebesgue:1.5"], "--lambda", "-0.2,0.3"),
+    (["transform", "--f", "chebT:[0,1]"], "--points", "-0.5,0.5"),
+    (["norms", "--p", "1.5", "--family-size", "1"], "--weighted", "-0.2,0.1,1.5"),
+    (["invert", "--g", "chebT:[0,1,0.5]", "--regime", "low"], "--constant", "-1,0.5"),
+])
+def test_negative_list_value_after_a_space(capsys, argv, flag, value):
+    # argparse reads a token such as -0.3,0.2 as an unknown option; after a
+    # list flag it is the flag's value, as in the flag=value form
+    argv = [*argv, "--no-timestamp"]
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, f"{flag}={value}") == (code, out, err)
+
+
+def test_list_flag_does_not_take_the_next_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--f", "chebT:[0,1]", "--points", "--grid", "3"])
+    assert exc.value.code == EXIT_PARSE
+    assert "argument --points: expected one argument" in capsys.readouterr().err
+
+
 def test_classify_point_and_alias(capsys):
     for cmd in ("classify-spectrum", "classify"):
         code, out, _ = run_cli(capsys, cmd, "--space", "lebesgue:1.5",
