@@ -223,12 +223,8 @@ def _json_text(payload, timestamp):
 # Subcommands.
 
 def _parse_points(args, eps_edge):
-    if args.points is not None:
-        try:
-            pts = [float(tok) for tok in args.points.split(",")]
-        except ValueError as exc:
-            raise FunctionSpecError(f"bad --points value {args.points!r}") from exc
-    else:
+    pts = args.points
+    if pts is None:
         pts = list(np.linspace(-0.9, 0.9, args.grid))
     for t in pts:
         if not -1.0 + eps_edge <= t <= 1.0 - eps_edge:
@@ -469,6 +465,13 @@ def _float_list(text):
     return [_finite(v, text) for v in values]
 
 
+def _exponent_list(text):
+    values = _float_list(text)
+    if not all(p > 1.0 for p in values):
+        raise argparse.ArgumentTypeError(f"every p must exceed 1, got {text!r}")
+    return values
+
+
 def _float_triple(text):
     values = _float_list(text)
     if len(values) != 3:
@@ -499,7 +502,7 @@ def _add_common_with_config(sub):
 
 # Flags that take a comma-separated list of numbers, and the start of a
 # negative number.
-_NUMBER_LIST_FLAGS = frozenset({"--points", "--lambda", "--constant", "--weighted"})
+_NUMBER_LIST_FLAGS = frozenset({"--points", "--lambda", "--constant", "--weighted", "--p"})
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
@@ -539,7 +542,8 @@ def build_parser():
     p = subs.add_parser("transform", help="evaluate T(f) on points or a grid")
     p.add_argument("--f", required=True, help="function spec, e.g. chebT:[0,1]")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--points", help="comma-separated interior points")
+    group.add_argument("--points", type=_float_list,
+                       help="comma-separated interior points")
     group.add_argument("--grid", type=_positive_int, help="uniform interior grid size")
     p.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
     p.add_argument("--convention", choices=[TRICOMI, WIDOM], default=TRICOMI)
@@ -581,7 +585,7 @@ def build_parser():
     p.set_defaults(func=cmd_identities)
 
     p = subs.add_parser("norms", help="operator-norm probes")
-    p.add_argument("--p", type=_float_list, default="1.2,1.5,1.8",
+    p.add_argument("--p", type=_exponent_list, default="1.2,1.5,1.8",
                    help="comma-separated exponents in (1,2)")
     p.add_argument("--family-size", type=_positive_int, default=20)
     p.add_argument("--weighted", type=_float_triple,

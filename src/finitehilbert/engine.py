@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,18 +89,19 @@ def _is_real(f):
 
 
 def _quad(g, a, b, cfg):
-    """Adaptive quadrature with the panel budget from cfg; returns (value, err)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(
-            g, a, b,
-            epsabs=0.25 * cfg.abs_tol,
-            epsrel=0.25 * cfg.rel_tol,
-            limit=cfg.max_panels,
-            full_output=1,
-        )
+    """Adaptive quadrature with the panel budget from cfg; returns (value, err).
+
+    full_output makes quad return QUADPACK's message instead of warning.
+    """
+    out = integrate.quad(
+        g, a, b,
+        epsabs=0.25 * cfg.abs_tol,
+        epsrel=0.25 * cfg.rel_tol,
+        limit=cfg.max_panels,
+        full_output=1,
+    )
     val, err = out[0], out[1]
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise NoConvergence("quadrature returned a non-finite value")
     return val, err
 
@@ -167,16 +167,17 @@ def _numpy_exp(z):
         return complex(np.exp(z))
 
 
-def _theta_integrand(f, t=None, ft=0j, dft=0j):
+def _theta_integrand(f, t=None, ft=0j):
     """The integrand of integrate_unit (t None) or of the p.v. quadrature at t.
 
     After x = cos(theta) the first is f(x) sin(theta) and the second
-    (f(x) - f(t)) sin(theta) / (x - t), which is dft * sin(theta) where
-    |x - t| < 1e-13.  For endpoint-weighted f the weight times sin(theta) is
-    rewritten as 2^(a+b+1) sin(theta/2)^(2a+1) cos(theta/2)^(2b+1), which
-    stays finite for all integrable exponents, and the weight, the Clenshaw
-    sum of the series and the subtraction run in one flat closure: quad calls
-    it at every node, so everything fixed by f and t is computed here.
+    (f(x) - f(t)) sin(theta) / (x - t), which is f'(t) sin(theta) where
+    |x - t| < 1e-13; only there is f'(t) estimated.  For endpoint-weighted f
+    the weight times sin(theta) is rewritten as
+    2^(a+b+1) sin(theta/2)^(2a+1) cos(theta/2)^(2b+1), which stays finite for
+    all integrable exponents, and the weight, the Clenshaw sum of the series
+    and the subtraction run in one flat closure: quad calls it at every node,
+    so everything fixed by f and t is computed here.
     """
     pv = t is not None
     if not isinstance(f, EndpointWeightedFunction):
@@ -186,8 +187,8 @@ def _theta_integrand(f, t=None, ft=0j, dft=0j):
             if not pv:
                 return complex(f(x)) * s
             dx = x - t
-            if abs(dx) < 1e-13:
-                return dft * s
+            if -1e-13 < dx < 1e-13:
+                return _derivative(f, t) * s
             return (complex(f(x)) * s - ft * s) / dx
 
         return plain
@@ -206,7 +207,7 @@ def _theta_integrand(f, t=None, ft=0j, dft=0j):
         if pv:
             dx = x - t
             if -1e-13 < dx < 1e-13:  # abs(dx) < 1e-13, without a call
-                return dft * sin(theta)
+                return _derivative(f, t) * sin(theta)
         h = 0.5 * theta
         sh = sin(h)
         if sh < 1e-300:  # the value of max(sh, 1e-300), without a call
@@ -222,7 +223,7 @@ def _theta_integrand(f, t=None, ft=0j, dft=0j):
                 weight = _numpy_exp(log_factor)
         else:
             weight = _numpy_exp(log_factor)
-        # series._clenshaw, with 2.0 * x * b1 grouped as (2.0 * x) * b1 as there
+        # ChebyshevSeries.__call__, with 2.0 * x * b1 grouped as (2.0 * x) * b1 as there
         two_x = 2.0 * x
         b1 = b2 = 0.0
         for c in rest:
@@ -249,7 +250,9 @@ def integrate_unit(f, cfg=DEFAULT_CONFIG):
     return val
 
 
-def _derivative(f, t, h=1e-6):
+def _derivative(f, t):
+    """Central-difference f'(t), with a step that stays inside (-1, 1)."""
+    h = min(1e-6, 0.25 * (1.0 - abs(t)))
     return (complex(f(t + h)) - complex(f(t - h))) / (2.0 * h)
 
 
@@ -277,8 +280,7 @@ def _pv_at(f, t, cfg, real_only):
     if not np.isfinite(ft):
         raise SingularEvaluation(f"f is not finite at t={t}")
     phi = math.acos(t)
-    dft = _derivative(f, t, h=min(1e-6, 0.25 * (1.0 - abs(t))))
-    g = _theta_integrand(f, t, ft, dft)
+    g = _theta_integrand(f, t, ft)
     v1, e1 = _quad_complex(g, 0.0, phi, cfg, real_only=real_only)
     v2, e2 = _quad_complex(g, phi, math.pi, cfg, real_only=real_only)
     log_term = ft * math.log((1.0 - t) / (1.0 + t))
@@ -394,10 +396,6 @@ def weighted_transform(gamma, delta, f, t, p=2.0):
 # ---------------------------------------------------------------------------
 # Exact transform of polynomials (used by the identity harness).
 
-def _cheb_to_mono(tc):
-    return np.polynomial.chebyshev.cheb2poly(np.asarray(tc, dtype=complex))
-
-
 def fht_polynomial_parts(tc):
     """The transform of a T-basis polynomial split as R(t) + f(t) L(t)/pi.
 
@@ -407,7 +405,7 @@ def fht_polynomial_parts(tc):
     context provides (e.g. 2 log tan(theta/2) near the endpoints).  Both parts
     take a scalar or an array.
     """
-    mono = _cheb_to_mono(tc)
+    mono = np.polynomial.chebyshev.cheb2poly(np.asarray(tc, dtype=complex))
     n = len(mono)
     # moments m_k = int_{-1}^1 x^k dx
     moments = np.array([0.0 if k % 2 else 2.0 / (k + 1) for k in range(n)])

@@ -67,6 +67,17 @@ def _report(name, residuals, scale, tolerance, grid_size):
                           tolerance=tolerance)
 
 
+def _cross_products(f, g):
+    """T(f), T(g) and the map x -> f(x) T(g)(x) + g(x) T(f)(x)."""
+    Tf = transform(f)
+    Tg = transform(g)
+
+    def cross(x):
+        return complex(f(x)) * Tg(x) + complex(g(x)) * Tf(x)
+
+    return Tf, Tg, cross
+
+
 def check_parseval(f, g):
     """Residual of int f T(g) + int g T(f) = 0 for an admissible pair.
 
@@ -74,12 +85,7 @@ def check_parseval(f, g):
     is the outer integral, whose integrand has at worst log endpoint
     singularities.  Both its real and its imaginary part must vanish.
     """
-    Tf = transform(f)
-    Tg = transform(g)
-
-    def integrand(x):
-        return complex(f(x)) * Tg(x) + complex(g(x)) * Tf(x)
-
+    _, _, integrand = _cross_products(f, g)
     # _quad asks quad for a quarter of the tolerances: epsabs = epsrel = 1e-10
     cfg = QuadratureConfig(abs_tol=4e-10, rel_tol=4e-10)
     val, err = _quad_complex(integrand, -1.0, 1.0, cfg)
@@ -96,13 +102,7 @@ def check_poincare_bertrand(f, g, grid=None):
     """
     grid = np.linspace(-0.8, 0.8, 10) if grid is None else np.asarray(grid, dtype=float)
     outer_cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8, max_panels=512)
-    Tf = transform(f)
-    Tg = transform(g)
-
-    def inner(x):
-        # Hoelder at interior points; log-singular only at the endpoints
-        return complex(g(x)) * Tf(x) + complex(f(x)) * Tg(x)
-
+    Tf, Tg, inner = _cross_products(f, g)  # log-singular only at the endpoints
     lhs = fht_pointwise(inner, grid, outer_cfg)
     rhs = Tf(grid) * Tg(grid) - f(grid) * g(grid)
     residuals = np.abs(lhs - rhs)
@@ -263,11 +263,11 @@ def norm_probe(p, family_size=50, seed=0):
                                 "gap": bound - sup})
 
 
-def _smoothed_spike(x0, beta, eps=1e-3):
-    """(|x-x0|^2 + eps^2)^(-beta/2): an integrable spike, smooth and bounded."""
+def _smoothed_spike(x0, beta, amp, eps=1e-3):
+    """amp (|x-x0|^2 + eps^2)^(-beta/2): an integrable spike, smooth and bounded."""
 
     def func(x):
-        return ((x - x0) ** 2 + eps * eps) ** (-0.5 * beta)
+        return amp * ((x - x0) ** 2 + eps * eps) ** (-0.5 * beta)
 
     return func
 
@@ -287,11 +287,7 @@ def loglog_probe(family_size=10, seed=7):
         x0 = rng.uniform(-0.6, 0.6)
         beta = rng.uniform(0.2, 0.8)
         amp = rng.uniform(0.5, 2.0)
-        spike = _smoothed_spike(x0, beta)
-
-        def f(x, spike=spike, amp=amp):
-            return amp * spike(x)
-
+        f = _smoothed_spike(x0, beta, amp)
         tf = SampledFunction(tgrid, fht_pointwise(f, tgrid, cfg), eps_edge=0.05)
         num = l1_norm(tf)
         den = zygmund_norm(1.0, sample(f, n_grid, spacing="cos"))

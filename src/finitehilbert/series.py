@@ -21,21 +21,6 @@ SECOND_KIND = "U"
 DEFAULT_TAIL_TOL = 1e-12
 
 
-def _clenshaw(coeffs, x, basis):
-    """Evaluate sum c_n P_n(x) where P is T or U (shared three-term recurrence).
-
-    coeffs is a list of Python numbers, so a float x costs plain arithmetic
-    per step and an array x one numpy operation per step.
-    """
-    b1 = b2 = 0.0
-    for c in coeffs[:0:-1]:
-        b1, b2 = c + 2.0 * x * b1 - b2, b1
-    if basis == FIRST_KIND:
-        return coeffs[0] + x * b1 - b2
-    # U_0 = 1, U_1 = 2x
-    return coeffs[0] + 2.0 * x * b1 - b2
-
-
 @dataclass(frozen=True)
 class ChebyshevSeries:
     """Finite Chebyshev series c_0..c_N in the T or U basis."""
@@ -68,7 +53,15 @@ class ChebyshevSeries:
         return self.coeffs.tolist()
 
     def __call__(self, x):
-        return _clenshaw(self._coeff_list, x, self.basis)
+        """Clenshaw's recurrence on Python numbers: plain arithmetic for a float x."""
+        coeffs = self._coeff_list
+        b1 = b2 = 0.0
+        for c in coeffs[:0:-1]:
+            b1, b2 = c + 2.0 * x * b1 - b2, b1
+        if self.basis == FIRST_KIND:
+            return coeffs[0] + x * b1 - b2
+        # U_0 = 1, U_1 = 2x
+        return coeffs[0] + 2.0 * x * b1 - b2
 
     def resolved(self, tail_tol=DEFAULT_TAIL_TOL):
         """True when the last two coefficients are below tail_tol relative to the peak."""

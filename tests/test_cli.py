@@ -231,6 +231,28 @@ def test_list_flag_does_not_take_the_next_flag(capsys):
     assert "argument --points: expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # every spelling of a p <= 1, with or without '=', is a usage error
+    (["norms", "--p", "-1.2,1.5"], "argument --p: every p must exceed 1, got '-1.2,1.5'"),
+    (["norms", "--p=-1.2,1.5"], "argument --p: every p must exceed 1, got '-1.2,1.5'"),
+    (["norms", "--p", "-1.2"], "argument --p: every p must exceed 1, got '-1.2'"),
+    (["norms", "--p", "0.5"], "argument --p: every p must exceed 1, got '0.5'"),
+    (["norms", "--p", "1"], "argument --p: every p must exceed 1, got '1'"),
+    # malformed and non-finite points are rejected at parse time
+    (["transform", "--f", "chebT:[0,1]", "--points", "0.1,x"],
+     "argument --points: invalid comma-separated floats: '0.1,x'"),
+    (["transform", "--f", "chebT:[0,1]", "--points", "nan"],
+     "argument --points: not a finite number: 'nan'"),
+])
+def test_number_list_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fht ")
+    assert err.endswith(f"error: {message}\n")
+
+
 def test_classify_point_and_alias(capsys):
     for cmd in ("classify-spectrum", "classify"):
         code, out, _ = run_cli(capsys, cmd, "--space", "lebesgue:1.5",
@@ -534,6 +556,16 @@ def _floats(lo, hi, **kw):
     return st.floats(lo, hi, **kw).map(repr)
 
 
+def _p_at_most_one(token):
+    """True for a --p=... token that lists a finite p <= 1."""
+    if not token.startswith("--p="):
+        return False
+    try:
+        return any(float(tok) <= 1.0 for tok in token[4:].split(","))
+    except ValueError:
+        return False
+
+
 def _not_finite_floats(text):
     try:
         return not all(math.isfinite(float(tok)) for tok in text.split(","))
@@ -593,11 +625,15 @@ _COMMANDS = {
     "identities": {"--suite": (st.sampled_from(["kernel", "parseval"]), _NOISE),
                    "--seed": (_SEED, _BAD_SIZE)},
     "norms": {
-        # --p is drawn inside (1,2) or malformed: a finite p outside (1,2) still
-        # raises ValueError from harness.norm_probe, a known defect that
-        # bench/test_bench.py pins until the benchmark's next version
+        # --p is drawn inside (1,2), at or below 1, or malformed: a finite p of
+        # 2 or more still raises ValueError from harness.norm_probe, a known
+        # defect that bench/test_bench.py pins until the benchmark's next version
         "--p": (_joined(_floats(1.0, 2.0, exclude_min=True, exclude_max=True), max_size=2),
-                _NOISE.filter(_not_finite_floats)),
+                st.one_of(_NOISE.filter(_not_finite_floats),
+                          _joined(_floats(-2.0, 1.0), max_size=2),
+                          st.builds("{},{}".format, _floats(1.0, 2.0, exclude_min=True,
+                                                            exclude_max=True),
+                                    _floats(-2.0, 1.0)))),
         "--family-size": (_SIZE, _BAD_SIZE),
         "--weighted": (st.builds("{},{},{}".format, _floats(-0.6, 0.6), _floats(-0.6, 0.6),
                                  _floats(1.0, 3.0)),
@@ -658,6 +694,8 @@ def test_argv_fuzz_ends_in_a_documented_exit_code(tmp_path, argv):
         except SystemExit as exc:  # argparse rejects the arguments
             code = exc.code
     assert code in range(6), (argv, code, err.getvalue())
+    if any(_p_at_most_one(tok) for tok in argv):
+        assert code == EXIT_PARSE, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert "Warning" not in err.getvalue()
     assert not caught, (argv, [str(w.message) for w in caught])

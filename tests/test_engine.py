@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,15 +329,15 @@ def _pv_integrand_reference(f, t, ft, dft):
     return g
 
 
-def _reference_theta_integrand(f, t=None, ft=0j, dft=0j):
+def _reference_theta_integrand(f, t=None, ft=0j):
     if t is None:
         return _times_sin_reference(f)
-    return _pv_integrand_reference(f, t, ft, dft)
+    return _pv_integrand_reference(f, t, ft, _derivative(f, t))
 
 
 def _pv_terms(f, t):
-    """f(t) and the derivative estimate, as _pv_at computes them."""
-    return complex(f(t)), _derivative(f, t, h=min(1e-6, 0.25 * (1.0 - abs(t))))
+    """f(t) and the derivative estimate the p.v. integrand takes near t."""
+    return complex(f(t)), _derivative(f, t)
 
 
 # the endpoints, the sin(theta/2) clamp, and both sides of the 1e-12 edge; quad
@@ -369,7 +370,7 @@ def test_flat_theta_integrand_is_bit_identical_to_reference(
     f = EndpointWeightedFunction(*exponents, ChebyshevSeries(coeffs, basis))
     ft, dft = _pv_terms(f, t)
     unit, unit_ref = _theta_integrand(f), _times_sin_reference(f)
-    pv, pv_ref = _theta_integrand(f, t, ft, dft), _pv_integrand_reference(f, t, ft, dft)
+    pv, pv_ref = _theta_integrand(f, t, ft), _pv_integrand_reference(f, t, ft, dft)
     # theta = acos(t) takes the |x - t| < 1e-13 branch
     for th in _EDGE_THETAS + [math.acos(t), theta]:
         assert unit(th) == unit_ref(th)
@@ -407,7 +408,7 @@ def test_flat_theta_integrand_matches_reference_near_exp_overflow(a, b):
     with np.errstate(all="ignore"):  # the reference's np.exp warns here
         ft, dft = _pv_terms(f, t)
         unit, unit_ref = _theta_integrand(f), _times_sin_reference(f)
-        pv, pv_ref = _theta_integrand(f, t, ft, dft), _pv_integrand_reference(f, t, ft, dft)
+        pv, pv_ref = _theta_integrand(f, t, ft), _pv_integrand_reference(f, t, ft, dft)
         for th in thetas:
             assert _equal(unit(th), unit_ref(th))
             assert _equal(pv(th), pv_ref(th))
@@ -505,6 +506,44 @@ def test_quad_complex_leaves_non_finite_node_values_to_quad():
     with pytest.raises(NoConvergence, match="quadrature returned a non-finite value"):
         _quad_complex(lambda s: complex(math.inf if s > 0.5 else 1.0, 1.0), 0.0, 1.0,
                       DEFAULT_CONFIG)
+
+
+def test_quad_returns_an_unconverged_integral_without_a_warning():
+    # sin(1/s) oscillates without end near 0, so four panels cannot meet 1e-10;
+    # full_output makes quad return QUADPACK's message instead of warning
+    cfg = QuadratureConfig(max_panels=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, err = _quad(lambda s: math.sin(1.0 / s), 0.0, 1.0, cfg)
+    assert math.isfinite(val)
+    assert err > cfg.abs_tol
+
+
+@pytest.mark.parametrize("t", [-0.6, 0.0, 0.3])
+def test_pv_evaluates_f_at_t_and_at_the_quadrature_nodes_only(t, monkeypatch):
+    """f'(t) is estimated only at a node within 1e-13 of t, which quad does not reach here."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.exp(x) * (1.0 - x * x) + 1j * x
+
+    nodes = []
+    real_theta_integrand = engine._theta_integrand
+
+    def counting_theta_integrand(*args):
+        g = real_theta_integrand(*args)
+
+        def counted(theta):
+            nodes.append(theta)
+            return g(theta)
+
+        return counted
+
+    monkeypatch.setattr(engine, "_theta_integrand", counting_theta_integrand)
+    fht_pointwise(f, t)
+    assert calls == [t] + [math.cos(theta) for theta in nodes]
+    assert all(abs(math.cos(theta) - t) >= 1e-13 for theta in nodes)
 
 
 def _counting(g):

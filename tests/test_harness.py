@@ -246,3 +246,79 @@ def test_khvedelidze_probe_regimes():
     for gamma, delta, p in ((0.2, -0.1, 2.0), (-0.5, -0.5, 1.5), (0.5, 0.5, 3.0)):
         r = khvedelidze_probe(gamma, delta, p, family_size=3, seed=1)
         assert r.passed
+
+
+# The cross-product closures and the spike wrapper as they were written before
+# _cross_products and _smoothed_spike(..., amp) replaced them.  The reports
+# built from these copies must equal the harness reports bit for bit.
+
+def _parseval_copy(f, g):
+    Tf = harness.transform(f)
+    Tg = harness.transform(g)
+
+    def integrand(x):
+        return complex(f(x)) * Tg(x) + complex(g(x)) * Tf(x)
+
+    cfg = harness.QuadratureConfig(abs_tol=4e-10, rel_tol=4e-10)
+    val, err = harness._quad_complex(integrand, -1.0, 1.0, cfg)
+    scale = max(abs(complex(f(0.0))), abs(complex(g(0.0))), 1.0)
+    return harness._report("parseval", [abs(val)], scale, TOLERANCES["parseval"], 1)
+
+
+def _poincare_bertrand_copy(f, g):
+    grid = np.linspace(-0.8, 0.8, 10)
+    outer_cfg = harness.QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8, max_panels=512)
+    Tf = harness.transform(f)
+    Tg = harness.transform(g)
+
+    def inner(x):
+        # Hoelder at interior points; log-singular only at the endpoints
+        return complex(g(x)) * Tf(x) + complex(f(x)) * Tg(x)
+
+    lhs = harness.fht_pointwise(inner, grid, outer_cfg)
+    rhs = Tf(grid) * Tg(grid) - f(grid) * g(grid)
+    residuals = np.abs(lhs - rhs)
+    scale = float(np.max(np.abs(rhs), initial=1.0))
+    return harness._report("poincare_bertrand", residuals, scale,
+                           TOLERANCES["poincare_bertrand"], len(grid))
+
+
+def _spike_copy(x0, beta, eps=1e-3):
+    def func(x):
+        return ((x - x0) ** 2 + eps * eps) ** (-0.5 * beta)
+
+    return func
+
+
+def _seeded_pairs(seed, count, degree):
+    rng = np.random.default_rng(seed)
+    return [(cli._random_poly(rng, degree), cli._random_poly(rng, degree))
+            for _ in range(count)]
+
+
+def test_parseval_equals_the_closure_copy():
+    for f, g in [(one(), sqrt_weight())] + _seeded_pairs(1, 20, 6):
+        assert check_parseval(f, g) == _parseval_copy(f, g)
+
+
+def test_poincare_bertrand_equals_the_closure_copy():
+    for f, g in _seeded_pairs(2, 20, 4):
+        assert check_poincare_bertrand(f, g) == _poincare_bertrand_copy(f, g)
+
+
+def test_loglog_spikes_equal_the_wrapper_copy():
+    # loglog_probe's family and grid at its default seed
+    rng = np.random.default_rng(7)
+    cfg = harness.QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7, max_panels=512)
+    tgrid = np.linspace(-0.9, 0.9, 41)
+    for _ in range(10):
+        x0 = rng.uniform(-0.6, 0.6)
+        beta = rng.uniform(0.2, 0.8)
+        amp = rng.uniform(0.5, 2.0)
+        spike = _spike_copy(x0, beta)
+
+        def f(x, spike=spike, amp=amp):
+            return amp * spike(x)
+
+        values = harness.fht_pointwise(harness._smoothed_spike(x0, beta, amp), tgrid, cfg)
+        assert values.tolist() == harness.fht_pointwise(f, tgrid, cfg).tolist()
