@@ -21,12 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DegenerateGrid,
     ExponentOutOfRange,
     NoConvergence,
+    NonFiniteSample,
     PointOutsideWindow,
     SingularEvaluation,
     UnsupportedExponents,
@@ -79,8 +79,18 @@ def sampled_to_weighted(f):
 
     if len(f) < 2:
         raise DegenerateGrid("need at least 2 samples to interpolate")
-    spline = CubicSpline(f.points, f.values, extrapolate=True)
-    series = interpolate_chebyshev(spline, INTERP_DEGREE)
+    # Samples near the float limit can overflow the spline's knot slopes, its
+    # coefficients or its values: each is reported as NonFiniteSample, without
+    # numpy's warnings.
+    with np.errstate(all="ignore"):
+        try:
+            spline = CubicSpline(f.points, f.values, extrapolate=True)
+        except ValueError as exc:
+            # SampledFunction holds two or more finite samples on a finite,
+            # strictly increasing grid, so the one input CubicSpline can still
+            # reject is the knot slopes it computed, once they overflow.
+            raise NonFiniteSample("the spline's slopes overflow") from exc
+        series = interpolate_chebyshev(spline, INTERP_DEGREE)
     return EndpointWeightedFunction(0.0, 0.0, series)
 
 
@@ -92,8 +102,12 @@ def _quad(g, a, b, cfg):
     """Adaptive quadrature with the panel budget from cfg; returns (value, err).
 
     full_output makes quad return QUADPACK's message instead of warning.
+    scipy.integrate loads on the first call, not at import, and quad is
+    looked up on every call, so a wrapper patched onto the module is seen.
     """
-    out = integrate.quad(
+    from scipy.integrate import quad
+
+    out = quad(
         g, a, b,
         epsabs=0.25 * cfg.abs_tol,
         epsrel=0.25 * cfg.rel_tol,

@@ -105,6 +105,8 @@ class SampledFunction:
         lo, hi = self.domain
         if pts.ndim != 1 or pts.shape != vals.shape:
             raise DegenerateGrid("points and values must be 1-d arrays of equal length")
+        if not np.all(np.isfinite(pts)):
+            raise DegenerateGrid("grid points must be finite")
         slack = 1e-12 * (hi - lo)
         if len(pts) and (pts[0] < lo + self.eps_edge - slack
                          or pts[-1] > hi - self.eps_edge + slack):

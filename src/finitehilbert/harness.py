@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .engine import (
     QuadratureConfig,
@@ -221,6 +220,8 @@ def _gauss_grid():
 
     Built on first use, not at import: only the norm probes read it.
     """
+    from scipy.special import roots_legendre
+
     theta, weights = roots_legendre(2000)
     theta = 0.5 * math.pi * (theta + 1.0)
     weights = 0.5 * math.pi * weights

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import NonFiniteSample
 
@@ -139,6 +138,8 @@ def interpolate_chebyshev(f, degree):
 
     Returns the T-basis series of the interpolant.
     """
+    from scipy.fft import dct
+
     if degree < 0:
         raise ValueError("degree must be >= 0")
     nodes = chebyshev_gauss_nodes(degree)

@@ -2,6 +2,8 @@
 
 bench/tracing.py patches library functions by module and attribute path, so a
 renamed or deleted name would otherwise only break the benchmark's own suite.
+It also replaces scipy.integrate.quad after the package is imported, so the
+package must look quad up at each call.
 """
 
 import importlib
@@ -31,3 +33,24 @@ def test_traced_names_resolve():
             missing.append(f"{modname}.{path}")
     assert targets
     assert missing == []
+
+
+def test_quad_patched_after_import_is_called(monkeypatch):
+    from finitehilbert import engine
+    from finitehilbert.functions import EndpointWeightedFunction
+    from finitehilbert.series import ChebyshevSeries
+
+    import scipy.integrate  # after the package, as in the tracer
+
+    original = scipy.integrate.quad
+    calls = 0
+
+    def counting_quad(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    f = EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([1.0, 2.0]))
+    engine.fht_pointwise(f, 0.1)
+    assert calls > 0

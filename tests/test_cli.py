@@ -27,7 +27,7 @@ from finitehilbert.cli import (
     parse_function_spec,
 )
 from finitehilbert.engine import DEFAULT_CONFIG
-from finitehilbert.errors import FunctionSpecError
+from finitehilbert.errors import FunctionSpecError, NonFiniteSample
 
 
 def run_cli(capsys, *argv):
@@ -365,6 +365,7 @@ _CONFIG_ARGV = ["transform", "--f", "poly:[0,1]", "--points", "0", "--config", "
     pytest.param(_CSV_ARGV, "x,re,im\n0.1,abc,0\n", id="csv-non-numeric"),
     pytest.param(_CSV_ARGV, "x,re,im\n0.1,1\n", id="csv-short-row"),
     pytest.param(_CSV_ARGV, "x,re,im\n0.1,1,0\n", id="csv-one-sample"),
+    pytest.param(_CSV_ARGV, "x,re,im\nnan,1,0\n0.2,1,0\n0.3,2,0\n", id="csv-nan-point"),
     pytest.param(_CONFIG_ARGV, "abs_tol = 0\n", id="config-zero-tolerance"),
     pytest.param(_CONFIG_ARGV, "max_panels = abc\n", id="config-bad-int"),
     pytest.param(_CONFIG_ARGV, "rel_tol = nan\n", id="config-nan-tolerance"),
@@ -506,6 +507,30 @@ def test_overflow_exits_3_with_a_named_error(capsys, argv, stderr):
     assert "Warning" not in err
 
 
+# finite samples whose interpolant overflows: in the slopes of the data, in the
+# spline's knot slopes alone, in the spline's coefficients, and in the DCT
+@pytest.mark.parametrize("text", [
+    pytest.param("x,re,im\n0.1,1e308,0\n0.2,-1e308,0\n0.3,1e308,0\n", id="data-slopes"),
+    pytest.param("x,re,im\n0.1,0,0\n0.2,1.5e307,0\n0.3,0,0\n", id="knot-slopes"),
+    pytest.param("x,re,im\n0.1,1e306,0\n0.2,-1e306,0\n0.3,1e306,0\n", id="spline"),
+    pytest.param("x,re,im\n0.1,1e300,0\n0.1000001,-1e300,0\n0.3,1e300,0\n", id="dct"),
+])
+@pytest.mark.parametrize("argv", [
+    ["transform", "--f", "csv:{file}", "--points", "0"],
+    ["invert", "--g", "csv:{file}", "--regime", "low"],
+], ids=["transform", "invert"])
+def test_overflowing_sampled_input_exits_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(NonFiniteSample):
+        parse_function_spec(f"csv:{path}").to_function()
+    code, out, err = run_cli(capsys, *(tok.replace("{file}", str(path)) for tok in argv))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_repeated_main_calls_match_fresh_processes(capsys):
     """The parser is built once per process; no default or value leaks between calls."""
     argvs = [
@@ -534,6 +559,65 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         fresh.append((proc.returncode, out, err))
     assert in_process[0][0] == EXIT_PARSE
     assert in_process == fresh
+
+
+# Runs in a fresh interpreter: pytest itself imports scipy.integrate for its
+# warning filter.  Prints, as JSON, the scipy modules loaded after each import
+# and, for each argv, (exit code, stdout, stderr, scipy modules loaded).
+_COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+import finitehilbert
+after_package = scipy_modules()
+from finitehilbert.cli import main
+after_cli = scipy_modules()
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue(), err.getvalue(), scipy_modules()])
+print(json.dumps([after_package, after_cli, runs]))
+"""
+
+
+def test_cold_start_loads_scipy_only_on_first_use(capsys):
+    """Imports and the closed-form and spectral commands run on numpy alone."""
+    numpy_only = [
+        ["classify", "--space", "lebesgue:1.5", "--lambda", "0,0", "--no-timestamp"],
+        ["transform", "--f", "chebT:[1,2,3]", "--points", "0.1,-0.5", "--no-timestamp"],
+        ["transform", "--f", "weighted:{0.5,0.5,chebU:[1]}", "--points", "0.1",
+         "--no-timestamp"],
+        ["transform", "--f", "poly:[0,1]", "--grid", "0"],  # usage error, exit 2
+    ]
+    quadrature = ["transform", "--f", "weighted:{0.3,-0.4,chebT:[1,2]}", "--points", "0.1",
+                  "--no-timestamp"]
+    src = os.path.dirname(os.path.dirname(finitehilbert.__file__))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT,
+                           json.dumps([*numpy_only, quadrature])],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    after_package, after_cli, runs = json.loads(proc.stdout)
+    assert after_package == []
+    assert after_cli == []
+    assert [loaded for *_, loaded in runs[:-1]] == [[]] * len(numpy_only)
+    assert runs[-2][0] == EXIT_PARSE
+    assert "scipy.integrate" in runs[-1][3]
+    in_process = []
+    for argv in [*numpy_only, quadrature]:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append([code, captured.out, captured.err])
+    assert [run[:3] for run in runs] == in_process
 
 
 # ---------------------------------------------------------------------------
