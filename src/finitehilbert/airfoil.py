@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    DEFAULT_CONFIG,
     fht_check,
     fht_hat,
     fht_pointwise,
@@ -43,9 +42,9 @@ def _prepare_rhs(g):
     return g
 
 
-def solve_low(g, C=0.0, cfg=DEFAULT_CONFIG):
+def solve_low(g, C=0.0):
     """The solution -(1/w)T(gw) + C/w of T(f) = g in the small-index regime."""
-    particular = fht_hat(_prepare_rhs(g), cfg=cfg)
+    particular = fht_hat(_prepare_rhs(g))
     C = complex(C)
     if not C:
         return particular
@@ -57,22 +56,22 @@ def solve_low(g, C=0.0, cfg=DEFAULT_CONFIG):
     )
 
 
-def solvability_residual(g, cfg=DEFAULT_CONFIG):
+def solvability_residual(g):
     """|(1/pi) int g/w|; zero iff g lies in the range of T in the high regime."""
     over_w = _prepare_rhs(g).shifted_exponents(-0.5, -0.5)
-    return abs(complex(integrate_unit(over_w, cfg))) / math.pi
+    return abs(complex(integrate_unit(over_w))) / math.pi
 
 
-def solve_high(g, cfg=DEFAULT_CONFIG):
+def solve_high(g):
     """The unique solution f = -w T(g/w); requires int g/w = 0."""
     g = _prepare_rhs(g)
-    residual = solvability_residual(g, cfg)
+    residual = solvability_residual(g)
     if residual > SOLVABILITY_TOL:
         raise NotSolvable(residual)
     return fht_check(g)
 
 
-def verify_roundtrip(g, regime, C=0.0, cfg=DEFAULT_CONFIG):
+def verify_roundtrip(g, regime, C=0.0):
     """Apply T by quadrature to the computed solution and report the residual.
 
     The round trip deliberately uses the principal-value quadrature engine, not
@@ -81,14 +80,14 @@ def verify_roundtrip(g, regime, C=0.0, cfg=DEFAULT_CONFIG):
     """
     g = _prepare_rhs(g)
     if regime == LOW:
-        f = solve_low(g, C=C, cfg=cfg)
+        f = solve_low(g, C=C)
     elif regime == HIGH:
-        f = solve_high(g, cfg=cfg)
+        f = solve_high(g)
     else:
         raise ValueError(f"unknown regime {regime!r}")
     grid = np.linspace(-0.95, 0.95, 20)
-    residual = np.max(np.abs(fht_pointwise(f, grid, cfg) - g(grid)))
+    residual = np.max(np.abs(fht_pointwise(f, grid) - g(grid)))
     constant = None
     if regime == LOW:
-        constant = complex(integrate_unit(f, cfg)) / math.pi
+        constant = complex(integrate_unit(f)) / math.pi
     return RoundTripReport(max_residual=float(residual), constant_recovered=constant)

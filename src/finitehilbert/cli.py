@@ -16,12 +16,12 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import airfoil, harness, spectrum
-from .engine import DEFAULT_CONFIG, TRICOMI, WIDOM, sampled_to_weighted, transform
+from .engine import EPS_EDGE, TRICOMI, WIDOM, sampled_to_weighted, transform
 from .errors import (
     FhtError,
     FunctionSpecError,
@@ -157,37 +157,6 @@ def spec_of_weighted(func):
 
 
 # ---------------------------------------------------------------------------
-# Config file (--config or FHT_CONFIG), read by transform, invert and eigencheck:
-# the quadrature settings, which no flag sets.  Every other setting is a flag only.
-
-_CONFIG_CASTS = {
-    "abs_tol": float, "rel_tol": float, "max_panels": int, "eps_edge": float,
-}
-
-
-def load_run_config(path):
-    """The QuadratureConfig from the key=value file at path (or FHT_CONFIG)."""
-    cfg = DEFAULT_CONFIG
-    path = path or os.environ.get("FHT_CONFIG")
-    if path:
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, _, raw = line.partition("=")
-                key, raw = key.strip(), raw.strip()
-                if key not in _CONFIG_CASTS:
-                    raise FunctionSpecError(f"unknown config key {key!r}")
-                try:
-                    cfg = replace(cfg, **{key: _CONFIG_CASTS[key](raw)})
-                except ValueError as exc:  # a bad cast or a QuadratureConfig check
-                    raise FunctionSpecError(
-                        f"bad config value {key} = {raw!r}: {exc}") from exc
-    return cfg
-
-
-# ---------------------------------------------------------------------------
 # Output plumbing: stable-key JSON, x,re,im CSV, atomic file writes.
 
 def _emit(text, output):
@@ -222,12 +191,12 @@ def _json_text(payload, timestamp):
 # ---------------------------------------------------------------------------
 # Subcommands.
 
-def _parse_points(args, eps_edge):
+def _parse_points(args):
     pts = args.points
     if pts is None:
         pts = list(np.linspace(-0.9, 0.9, args.grid))
     for t in pts:
-        if not -1.0 + eps_edge <= t <= 1.0 - eps_edge:
+        if not -1.0 + EPS_EDGE <= t <= 1.0 - EPS_EDGE:
             raise FunctionSpecError(f"point {t} is not interior")
     return pts
 
@@ -236,15 +205,14 @@ def _parse_points(args, eps_edge):
 # A payload is a JSON-ready dict, or the finished text of a CSV table.
 
 def cmd_transform(args):
-    cfg = load_run_config(args.config)
     spec = parse_function_spec(args.f)
-    pts = _parse_points(args, cfg.eps_edge)
+    pts = _parse_points(args)
     f = spec.to_function()
     # Coefficients near the float limit can overflow on every route: the
     # overflow is reported as one NonFiniteResult, without numpy's warnings.
     try:
         with np.errstate(all="ignore"):
-            image = transform(f, args.convention, cfg)
+            image = transform(f, args.convention)
             values = np.asarray(image(np.asarray(pts)), dtype=complex)
     except NonFiniteSample as exc:  # f is finite, so a basis conversion overflowed
         raise NonFiniteResult(f"T(f) overflowed: {exc}") from exc
@@ -267,18 +235,16 @@ def cmd_transform(args):
 def cmd_invert(args):
     if args.constant is not None and args.regime == airfoil.HIGH:
         raise FunctionSpecError("--constant applies to the low regime only")
-    cfg = load_run_config(args.config)
     spec = parse_function_spec(args.g)
     g = spec.to_function()
     try:  # as in cmd_transform; quadrature names a non-finite integral itself
         with np.errstate(all="ignore"):
             if args.regime == airfoil.LOW:
-                solution = airfoil.solve_low(g, C=args.constant or 0j, cfg=cfg)
+                solution = airfoil.solve_low(g, C=args.constant or 0j)
             else:
-                solution = airfoil.solve_high(g, cfg=cfg)
-            report = airfoil.verify_roundtrip(g, args.regime, C=args.constant or 0j,
-                                              cfg=cfg)
-            solvability = (airfoil.solvability_residual(g, cfg)
+                solution = airfoil.solve_high(g)
+            report = airfoil.verify_roundtrip(g, args.regime, C=args.constant or 0j)
+            solvability = (airfoil.solvability_residual(g)
                            if args.regime == airfoil.HIGH else None)
     except NonFiniteSample as exc:  # g is finite, so a basis conversion overflowed
         raise NonFiniteResult(f"the inversion overflowed: {exc}") from exc
@@ -318,11 +284,10 @@ def cmd_classify(args):
 
 
 def cmd_eigencheck(args):
-    cfg = load_run_config(args.config)
     lam = args.lam
     gamma = spectrum.gamma_of_lambda(lam)
     grid = np.linspace(-0.9, 0.9, args.grid)
-    residual = spectrum.eigen_residual(lam, grid=grid, cfg=cfg)
+    residual = spectrum.eigen_residual(lam, grid=grid)
     tol = harness.TOLERANCES[
         "eigen_real" if abs(lam.imag) == 0.0 else "eigen_complex"]
     return {
@@ -438,16 +403,21 @@ def _bounded_int(text, lowest, what):
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < lowest:
-        raise argparse.ArgumentTypeError(f"must be a {what} int, got {value}")
+        raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
     return value
 
 
 def _positive_int(text):
-    return _bounded_int(text, 1, "positive")
+    return _bounded_int(text, 1, "a positive int")
 
 
 def _non_negative_int(text):
-    return _bounded_int(text, 0, "non-negative")
+    return _bounded_int(text, 0, "a non-negative int")
+
+
+def _boundary_point_count(text):
+    lowest = spectrum.MIN_BOUNDARY_POINTS
+    return _bounded_int(text, lowest, f"an int of at least {lowest}")
 
 
 def _finite(value, text):
@@ -493,11 +463,6 @@ def _add_common(sub):
     sub.add_argument("--output", help="write output atomically to this path")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp field from JSON output")
-
-
-def _add_common_with_config(sub):
-    sub.add_argument("--config", help="key=value config file (or set FHT_CONFIG)")
-    _add_common(sub)
 
 
 # Flags that take a comma-separated list of numbers, and the start of a
@@ -547,7 +512,7 @@ def build_parser():
     group.add_argument("--grid", type=_positive_int, help="uniform interior grid size")
     p.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
     p.add_argument("--convention", choices=[TRICOMI, WIDOM], default=TRICOMI)
-    _add_common_with_config(p)
+    _add_common(p)
     p.set_defaults(func=cmd_transform)
 
     p = subs.add_parser("invert", help="solve the airfoil equation T(f) = g")
@@ -555,7 +520,7 @@ def build_parser():
     p.add_argument("--regime", required=True, choices=[airfoil.LOW, airfoil.HIGH])
     p.add_argument("--constant", type=_complex_pair,
                    help="homogeneous coefficient C (low regime only), re[,im] or (re+imj)")
-    _add_common_with_config(p)
+    _add_common(p)
     p.set_defaults(func=cmd_invert)
 
     p = subs.add_parser("classify-spectrum", aliases=["classify"],
@@ -566,7 +531,9 @@ def build_parser():
                    help="point to classify, re,im")
     p.add_argument("--boundary-csv",
                    help="also write the region boundary polyline to this path")
-    p.add_argument("--boundary-points", type=_positive_int, default=400)
+    p.add_argument("--boundary-points", type=_boundary_point_count, default=400,
+                   help="rows of the --boundary-csv polyline, exactly this many "
+                        f"(at least {spectrum.MIN_BOUNDARY_POINTS}, default 400)")
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 
@@ -574,7 +541,7 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=_complex_pair, required=True,
                    help="re,im")
     p.add_argument("--grid", type=_positive_int, default=20)
-    _add_common_with_config(p)
+    _add_common(p)
     p.set_defaults(func=cmd_eigencheck)
 
     p = subs.add_parser("identities", help="run identity suites")

@@ -48,18 +48,18 @@ class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_panels: int = 4096
-    eps_edge: float = 1e-6
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):  # also rejects NaN
             raise ValueError("tolerances must be positive")
         if self.max_panels < 4:
             raise ValueError("max_panels must be >= 4")
-        if not 0.0 < self.eps_edge < 1.0:
-            raise ValueError("eps_edge must lie in (0, 1)")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+
+# fht_pointwise takes t in [-1+EPS_EDGE, 1-EPS_EDGE] only.
+EPS_EDGE = 1e-6
 
 # Degree of every Chebyshev re-interpolation: of sampled input and of the
 # quadrature route of fht_hat.
@@ -251,10 +251,11 @@ def _theta_integrand(f, t=None, ft=0j):
     return weighted
 
 
-def integrate_unit(f, cfg=DEFAULT_CONFIG):
+def integrate_unit(f):
     """int_{-1}^1 f(x) dx via the x = cos(theta) substitution."""
     f = _as_callable(f)
     real_only = _is_real(f)
+    cfg = DEFAULT_CONFIG
     val, err = _quad_complex(_theta_integrand(f), 0.0, math.pi, cfg,
                              real_only=real_only)
     if err > max(cfg.abs_tol, cfg.rel_tol * abs(val)) * 10.0:
@@ -273,14 +274,15 @@ def _derivative(f, t):
 def fht_pointwise(f, t, cfg=DEFAULT_CONFIG):
     """T(f)(t) = (1/pi) p.v. int f(x)/(x-t) dx by singularity subtraction.
 
-    t is a scalar or an array; each point gets its own adaptive quadrature.
-    A scalar t gives a complex scalar, an array t an array of its shape.
+    t is a scalar or an array in [-1+EPS_EDGE, 1-EPS_EDGE] (PointOutsideWindow
+    otherwise); each point gets its own adaptive quadrature.  A scalar t
+    gives a complex scalar, an array t an array of its shape.
     """
     f = _as_callable(f)
     ts = np.asarray(t, dtype=float)
-    if not np.all((-1.0 + cfg.eps_edge <= ts) & (ts <= 1.0 - cfg.eps_edge)):
+    if not np.all((-1.0 + EPS_EDGE <= ts) & (ts <= 1.0 - EPS_EDGE)):
         raise PointOutsideWindow(
-            f"t must lie in [-1+eps_edge, 1-eps_edge] (eps_edge = {cfg.eps_edge})")
+            f"t must lie in [-1+eps_edge, 1-eps_edge] (eps_edge = {EPS_EDGE})")
     real_only = _is_real(f)
     values = [_pv_at(f, s, cfg, real_only) for s in ts.ravel().tolist()]
     if ts.ndim == 0:
@@ -334,7 +336,7 @@ def fht_spectral(f):
     )
 
 
-def fht_hat(g, cfg=DEFAULT_CONFIG):
+def fht_hat(g):
     """The pseudo-inverse -(1/w) T(g w).
 
     For a plain series input (exponents (0,0)) the spectral rule
@@ -350,7 +352,7 @@ def fht_hat(g, cfg=DEFAULT_CONFIG):
         gw = EndpointWeightedFunction(0.5, 0.5, ChebyshevSeries(-uc, SECOND_KIND))
         return EndpointWeightedFunction(-0.5, -0.5, fht_spectral(gw).smooth)
     gw = g.shifted_exponents(0.5, 0.5)
-    tgw = interpolate_chebyshev(lambda x: fht_pointwise(gw, x, cfg), INTERP_DEGREE)
+    tgw = interpolate_chebyshev(lambda x: fht_pointwise(gw, x), INTERP_DEGREE)
     return EndpointWeightedFunction(-0.5, -0.5, tgw * (-1.0))
 
 
@@ -364,22 +366,22 @@ def fht_check(g):
     return EndpointWeightedFunction(0.5, 0.5, fht_spectral(g_over_w).smooth)
 
 
-def project_P(f, cfg=DEFAULT_CONFIG):
+def project_P(f):
     """P(f) = ((1/pi) int f) / w, the projection onto the kernel span{1/w}."""
-    c = complex(integrate_unit(f, cfg)) / math.pi
+    c = complex(integrate_unit(f)) / math.pi
     return EndpointWeightedFunction(
         -0.5, -0.5, ChebyshevSeries(np.array([c]), FIRST_KIND)
     )
 
 
-def project_Q(f, cfg=DEFAULT_CONFIG):
+def project_Q(f):
     """Q(f) = ((1/pi) int f/w) * 1, the projection onto span{1}."""
     f = _as_callable(f)
     if isinstance(f, EndpointWeightedFunction):
         over_w = f.shifted_exponents(-0.5, -0.5)
     else:
         over_w = lambda x: f(x) / math.sqrt(1.0 - x * x)
-    c = complex(integrate_unit(over_w, cfg)) / math.pi
+    c = complex(integrate_unit(over_w)) / math.pi
     return EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(np.array([c]), FIRST_KIND))
 
 
@@ -459,7 +461,7 @@ def fht_of_one(t):
     return math.log((1.0 - t) / (1.0 + t)) / math.pi
 
 
-def transform(f, convention=TRICOMI, cfg=DEFAULT_CONFIG):
+def transform(f, convention=TRICOMI):
     """T(f) by the fastest exact route, with p.v. quadrature as the fallback.
 
     This is the one place that picks a route and the one place that applies
@@ -472,7 +474,7 @@ def transform(f, convention=TRICOMI, cfg=DEFAULT_CONFIG):
     if convention not in (TRICOMI, WIDOM):
         raise ValueError(f"unknown convention {convention!r}")
     f = _as_callable(f)
-    image = lambda t: fht_pointwise(f, t, cfg)
+    image = lambda t: fht_pointwise(f, t)
     if isinstance(f, EndpointWeightedFunction):
         if f.a == 0.0 and f.b == 0.0:
             image = fht_polynomial(f.smooth.to_basis(FIRST_KIND).coeffs)

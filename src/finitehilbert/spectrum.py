@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_CONFIG, fht_pointwise
+from .engine import fht_pointwise
 from .errors import (
     BranchViolation,
     ExponentOutOfRange,
@@ -29,6 +29,8 @@ from .series import FIRST_KIND, ChebyshevSeries
 
 BOUNDARY_TOL = 1e-12
 IMAG_TOL = 1e-14
+# region_boundary_points: the endpoints +-1 and two inner points on each arc
+MIN_BOUNDARY_POINTS = 8
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -94,17 +96,22 @@ def region_contains(p, lam):
 
 
 def region_boundary_points(p, n=400):
-    """Polyline sampling of the two boundary arcs through +-1 and +-i cot(pi/p).
+    """Exactly n >= MIN_BOUNDARY_POINTS points on the two boundary arcs through
+    +-1 and +-i cot(pi/p).
 
     Each arc is the preimage of a ray arg(u) = const under the Moebius map,
-    parameterized by |u| on a log scale.
+    parameterized by |u| on a log scale, and runs from -1 to 1.  The n - 4
+    points between the endpoints are split evenly between the arcs; for odd
+    n the first arc takes the extra one.
     """
+    if n < MIN_BOUNDARY_POINTS:
+        raise ValueError(f"n = {n} is below {MIN_BOUNDARY_POINTS}")
     pts = []
     tau = abs(0.5 - 1.0 / p)
     # |s| <= 8 keeps the round-trip phase error below the boundary tolerance;
     # the endpoints +-1 (u -> 0, inf) are appended exactly.
-    s = np.linspace(-8.0, 8.0, max(n // 2 - 2, 2))
-    for sign in (1.0, -1.0):
+    for sign, inner in ((1.0, (n - 3) // 2), (-1.0, (n - 4) // 2)):
+        s = np.linspace(-8.0, 8.0, inner)
         u = np.exp(s + 1j * sign * 2.0 * math.pi * tau)
         lam = (u - 1.0) / (u + 1.0)
         pts.append(np.concatenate(([-1.0 + 0.0j], lam, [1.0 + 0.0j])))
@@ -123,7 +130,7 @@ def xi_eval(lam, x):
     return complex(xi_function(lam)(x))
 
 
-def eigen_residual(lam, grid=None, cfg=DEFAULT_CONFIG):
+def eigen_residual(lam, grid=None):
     """sup over the grid of |(T/i)(xi)(t) - lambda xi(t)| / (1 + |xi(t)|)."""
     if not in_eigenvalue_set(lam):
         raise OutsideEigenvalueSet(f"lambda = {lam}")
@@ -135,7 +142,7 @@ def eigen_residual(lam, grid=None, cfg=DEFAULT_CONFIG):
     if grid is None:
         grid = np.linspace(-0.9, 0.9, 20)
     xi = xi_function(lam)
-    lhs = fht_pointwise(xi, grid, cfg) / 1j  # T/i, the convention of this module
+    lhs = fht_pointwise(xi, grid) / 1j  # T/i, the convention of this module
     val = xi(grid)
     return float(np.max(np.abs(lhs - complex(lam) * val) / (1.0 + np.abs(val)),
                         initial=0.0))

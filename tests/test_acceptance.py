@@ -15,7 +15,6 @@ from scipy import integrate
 from finitehilbert.airfoil import solve_high, verify_roundtrip
 from finitehilbert.cli import main as cli_main
 from finitehilbert.engine import (
-    QuadratureConfig,
     fht_check,
     fht_hat,
     fht_pointwise,
@@ -50,7 +49,6 @@ from finitehilbert.spectrum import (
     sample_region,
 )
 
-CFG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
 GRID20 = np.linspace(-0.95, 0.95, 20)
 GRID10 = np.linspace(-0.9, 0.9, 10)
 
@@ -73,9 +71,9 @@ def test_criterion_01_closed_form_fixtures():
     worst = 0.0
     for t in GRID20:
         t = float(t)
-        worst = max(worst, abs(fht_pointwise(inverse_sqrt_weight(), t, CFG)))
-        worst = max(worst, abs(fht_pointwise(sqrt_weight(), t, CFG) + t))
-        worst = max(worst, abs(fht_pointwise(x_over_w, t, CFG) - 1.0))
+        worst = max(worst, abs(fht_pointwise(inverse_sqrt_weight(), t)))
+        worst = max(worst, abs(fht_pointwise(sqrt_weight(), t) + t))
+        worst = max(worst, abs(fht_pointwise(x_over_w, t) - 1.0))
     elapsed = time.monotonic() - start
     assert worst <= 1e-8
     assert elapsed < 5.0
@@ -100,7 +98,7 @@ def test_criterion_02_spectral_vs_quadrature():
         for t in GRID20:
             t = float(t)
             worst = max(worst, abs(complex(image(t))
-                                   - complex(fht_pointwise(func, t, CFG))))
+                                   - complex(fht_pointwise(func, t))))
     elapsed = time.monotonic() - start
     assert worst <= 1e-7
     assert elapsed < 60.0
@@ -118,12 +116,12 @@ def test_criterion_03_inversion_round_trips():
 
         # T(T_hat(g)) = g: inverse by spectral rule, T by quadrature
         hat = fht_hat(g)
-        worst_integral = max(worst_integral, abs(complex(integrate_unit(hat, CFG))))
+        worst_integral = max(worst_integral, abs(complex(integrate_unit(hat))))
         for t in GRID10:
             t = float(t)
             worst["TThat"] = max(
                 worst["TThat"],
-                abs(fht_pointwise(hat, t, CFG) - complex(g(t))),
+                abs(fht_pointwise(hat, t) - complex(g(t))),
             )
 
         # T_check(T(g)) = g: T exactly, the outer pseudo-inverse by direct
@@ -166,10 +164,10 @@ def test_criterion_03_inversion_round_trips():
 
         # T(T_check(g)) = g - Q(g)
         chk = fht_check(g)
-        q = project_Q(g, CFG)
+        q = project_Q(g)
         for t in GRID10:
             t = float(t)
-            val = fht_pointwise(chk, t, CFG)
+            val = fht_pointwise(chk, t)
             worst["TTcheck"] = max(
                 worst["TTcheck"], abs(val - (complex(g(t)) - complex(q(t))))
             )
@@ -177,11 +175,11 @@ def test_criterion_03_inversion_round_trips():
         # T_hat(T(f)) = f - P(f) on (1/w)-weighted inputs
         f = EndpointWeightedFunction(-0.5, -0.5, series)
         tf = fht_spectral(f)
-        p = project_P(f, CFG)
+        p = project_P(f)
         fw = EndpointWeightedFunction(0.5, 0.5, tf.smooth)
         for t in GRID10:
             t = float(t)
-            val = -fht_pointwise(fw, t, CFG) / math.sqrt(1.0 - t * t)
+            val = -fht_pointwise(fw, t) / math.sqrt(1.0 - t * t)
             worst["ThatT"] = max(
                 worst["ThatT"], abs(val - (complex(f(t)) - complex(p(t))))
             )
@@ -205,7 +203,7 @@ def test_criterion_04_solvability_trichotomy():
 
 
 def test_criterion_05_eigen_relation():
-    assert eigen_residual(0.0, cfg=CFG) <= 1e-8
+    assert eigen_residual(0.0) <= 1e-8
     rng = np.random.default_rng(55)
     lams, worst = [], 0.0
     while len(lams) < 10:
@@ -215,8 +213,7 @@ def test_criterion_05_eigen_relation():
         if gamma_of_lambda(lam) < 1.55:
             continue
         lams.append(lam)
-        worst = max(worst, eigen_residual(lam, grid=np.linspace(-0.8, 0.8, 10),
-                                          cfg=CFG))
+        worst = max(worst, eigen_residual(lam, grid=np.linspace(-0.8, 0.8, 10)))
     assert worst <= 1e-5
     _ok(5, f"eigen residual sup {worst:.2e} over 10 interior lambdas, 1e-8 at 0")
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,7 +8,6 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +22,10 @@ from finitehilbert.cli import (
     EXIT_QUADRATURE,
     FunctionSpec,
     _complex_pair,
-    load_run_config,
+    build_parser,
     main,
     parse_function_spec,
 )
-from finitehilbert.engine import DEFAULT_CONFIG
 from finitehilbert.errors import FunctionSpecError, NonFiniteSample
 
 
@@ -58,27 +57,6 @@ def test_spec_parse_errors():
             parse_function_spec(bad)
 
 
-def test_config_precedence(tmp_path, monkeypatch):
-    env_file = tmp_path / "env.conf"
-    env_file.write_text("eps_edge = 1e-4\nmax_panels = 64\n# comment\n")
-    monkeypatch.setenv("FHT_CONFIG", str(env_file))
-    cfg = load_run_config(None)
-    assert cfg.eps_edge == 1e-4  # from the FHT_CONFIG file
-    assert cfg.max_panels == 64
-    assert cfg.abs_tol == DEFAULT_CONFIG.abs_tol  # default
-    flag_file = tmp_path / "flag.conf"
-    flag_file.write_text("abs_tol = 1e-9\n")
-    cfg = load_run_config(str(flag_file))  # --config wins over FHT_CONFIG
-    assert cfg == replace(DEFAULT_CONFIG, abs_tol=1e-9)
-
-
-def test_config_rejects_unknown_key(tmp_path):
-    cfg_file = tmp_path / "bad.conf"
-    cfg_file.write_text("panels = 3\n")
-    with pytest.raises(FunctionSpecError):
-        load_run_config(str(cfg_file))
-
-
 _CLASSIFY_ARGV = ["classify", "--space", "lebesgue:1.5", "--lambda", "0.2,0.3"]
 _IDENTITIES_ARGV = ["identities", "--suite", "kernel"]
 _NORMS_ARGV = ["norms", "--p", "1.5", "--family-size", "2", "--weighted", "0.2,-0.3,1.5"]
@@ -94,35 +72,54 @@ _NORMS_ARGV = ["norms", "--p", "1.5", "--family-size", "2", "--weighted", "0.2,-
     _NORMS_ARGV,
 ], ids=["transform", "invert", "eigencheck", "classify", "identities", "norms"])
 def test_config_rejects_flag_settings(tmp_path, capsys, argv, text):
-    # format, convention and seed are flags only, on every subcommand: a config file
-    # naming one is refused where a config is read, and --config itself elsewhere
+    # format, convention and seed are flags only: no subcommand takes a config
+    # file, so one naming them is refused with the --config flag itself
     cfg_file = tmp_path / "fht.conf"
     cfg_file.write_text(text)
-    try:
-        code, out, err = run_cli(capsys, *argv, "--config", str(cfg_file))
-    except SystemExit as exc:  # argparse: this subcommand takes no --config
-        code, (out, err) = exc.code, capsys.readouterr()
-    assert code == EXIT_PARSE
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(cfg_file)])
+    assert exc.value.code == EXIT_PARSE
+    out, err = capsys.readouterr()
     assert out == ""
-    if argv[0] in ("transform", "invert", "eigencheck"):
-        assert err.startswith("parse error: unknown config key")
-    else:
-        assert "unrecognized arguments: --config" in err
+    assert "unrecognized arguments: --config" in err
 
 
-@pytest.mark.parametrize("argv", [_CLASSIFY_ARGV, _IDENTITIES_ARGV, _NORMS_ARGV],
-                         ids=["classify", "identities", "norms"])
+@pytest.mark.parametrize("argv", [
+    ["transform", "--f", "weighted:{0.3,-0.4,chebT:[1,2]}", "--points", "0.1"],
+    ["invert", "--g", "chebT:[0,1]", "--regime", "high"],
+    ["eigencheck", "--lambda", "0.2,0.3", "--grid", "3"],
+    _CLASSIFY_ARGV,
+    _IDENTITIES_ARGV,
+    _NORMS_ARGV,
+], ids=["transform", "invert", "eigencheck", "classify", "identities", "norms"])
 def test_fht_config_read_only_where_used(tmp_path, capsys, monkeypatch, argv):
-    """classify, identities and norms read no config file, so FHT_CONFIG naming a
-    missing file changes nothing for them."""
+    """No subcommand reads a config file, so FHT_CONFIG naming a missing file
+    changes nothing."""
     plain = run_cli(capsys, *argv, "--no-timestamp")
     assert plain[0] == 0
     monkeypatch.setenv("FHT_CONFIG", str(tmp_path / "missing.conf"))
     assert run_cli(capsys, *argv, "--no-timestamp") == plain
-    # the subcommands that do read it still fail on the missing file
-    code, out, err = run_cli(capsys, "eigencheck", "--lambda", "0.2,0.3")
-    assert (code, out) == (EXIT_PARSE, "")
-    assert err.startswith("parse error: ")
+
+
+def test_readme_flag_table_matches_the_parser():
+    """Each row of README's flag table lists exactly the flags of its subparser,
+    apart from -h and the two that every subcommand takes."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    table = text.split("| Subcommand | Flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        _, command, flags, _ = row.split("|")
+        documented[re.search(r"`([a-z-]+)`", command)[1]] = set(re.findall(r"--[a-z-]+", flags))
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    parsers = {}
+    for name, sub in subs.choices.items():  # a name comes before its aliases
+        parsers.setdefault(id(sub), (name, sub))
+    common = {"-h", "--help", "--output", "--no-timestamp"}
+    assert documented == {name: set(sub._option_string_actions) - common
+                          for name, sub in parsers.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +284,17 @@ def test_classify_boundary_csv(tmp_path, capsys):
     assert len(lines) >= 400
 
 
+@pytest.mark.parametrize("n", [8, 9, 400, 403])
+def test_classify_boundary_csv_has_exactly_n_rows(tmp_path, capsys, n):
+    target = tmp_path / "boundary.csv"
+    code, _, err = run_cli(capsys, "classify", "--space", "lebesgue:1.5",
+                           "--boundary-csv", str(target), "--boundary-points", str(n))
+    assert (code, err) == (0, "")
+    header, *rows = target.read_text().splitlines()
+    assert header == "x,re,im"
+    assert [float(row.split(",")[0]) for row in rows] == list(range(n))
+
+
 def test_eigencheck_real_lambda(capsys):
     code, out, _ = run_cli(capsys, "eigencheck", "--lambda", "0,0",
                            "--no-timestamp")
@@ -346,7 +354,6 @@ def test_csv_spec_input(tmp_path, capsys):
 
 
 _CSV_ARGV = ["transform", "--f", "csv:{file}", "--points", "0"]
-_CONFIG_ARGV = ["transform", "--f", "poly:[0,1]", "--points", "0", "--config", "{file}"]
 
 
 @pytest.mark.parametrize("argv, file_text", [
@@ -366,16 +373,13 @@ _CONFIG_ARGV = ["transform", "--f", "poly:[0,1]", "--points", "0", "--config", "
     pytest.param(_CSV_ARGV, "x,re,im\n0.1,1\n", id="csv-short-row"),
     pytest.param(_CSV_ARGV, "x,re,im\n0.1,1,0\n", id="csv-one-sample"),
     pytest.param(_CSV_ARGV, "x,re,im\nnan,1,0\n0.2,1,0\n0.3,2,0\n", id="csv-nan-point"),
-    pytest.param(_CONFIG_ARGV, "abs_tol = 0\n", id="config-zero-tolerance"),
-    pytest.param(_CONFIG_ARGV, "max_panels = abc\n", id="config-bad-int"),
-    pytest.param(_CONFIG_ARGV, "rel_tol = nan\n", id="config-nan-tolerance"),
-    pytest.param(["transform", "--f", "poly:[0,1]", "--points", "1.5",
-                  "--config", "{file}"], "eps_edge = -1\n", id="config-negative-edge"),
-    # an edge that leaves the fixed inner grids of invert and eigencheck outside the window
-    pytest.param(["invert", "--g", "chebT:[0,1]", "--regime", "low", "--config", "{file}"],
-                 "eps_edge = 0.5\n", id="invert-config-wide-edge"),
-    pytest.param(["eigencheck", "--lambda", "0.2,0.3", "--config", "{file}"],
-                 "eps_edge = 0.5\n", id="eigencheck-config-wide-edge"),
+    # the quadrature settings are fixed: no subcommand takes a config file
+    pytest.param(["transform", "--f", "poly:[0,1]", "--points", "0", "--config", "x"], None,
+                 id="transform-config"),
+    pytest.param(["invert", "--g", "chebT:[0,1]", "--regime", "low", "--config", "x"], None,
+                 id="invert-config"),
+    pytest.param(["eigencheck", "--lambda", "0.2,0.3", "--config", "x"], None,
+                 id="eigencheck-config"),
     pytest.param(["norms", "--p", "abc"], None, id="norms-p-not-float"),
     pytest.param(["norms", "--weighted", "1,2"], None, id="norms-weighted-two-values"),
     pytest.param(["norms", "--weighted", "a,b,c"], None, id="norms-weighted-not-float"),
@@ -385,6 +389,8 @@ _CONFIG_ARGV = ["transform", "--f", "poly:[0,1]", "--points", "0", "--config", "
                  None, id="classify-boundary-points-0"),
     pytest.param(["classify", "--space", "lebesgue:1.5", "--boundary-points", "-5"],
                  None, id="classify-boundary-points-negative"),
+    pytest.param(["classify", "--space", "lebesgue:1.5", "--boundary-points", "7"],
+                 None, id="classify-boundary-points-7"),
     # flags a subcommand does not read are rejected, not silently ignored
     pytest.param(["invert", "--g", "chebT:[0,1]", "--regime", "high",
                   "--convention", "widom"], None, id="invert-convention"),
@@ -442,10 +448,8 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, file_text):
                  EXIT_PARSE, "parse error: ", id="os-error"),
     pytest.param(["eigencheck", "--lambda", "2,0"], None,
                  EXIT_PARSE, "error: ", id="other-error"),
-    pytest.param(["transform", "--f", "weighted:{0.3,-0.4,chebT:[1,2,3]}",
-                  "--points", "0.5", "--config", "{file}"],
-                 "max_panels = 4\nabs_tol = 1e-14\nrel_tol = 1e-14\n",
-                 EXIT_QUADRATURE, "quadrature failure: ", id="quadrature-failure"),
+    pytest.param(["transform", "--f", "weighted:{-0.5,0.3,chebT:[1e308]}", "--points=0"],
+                 None, EXIT_QUADRATURE, "quadrature failure: ", id="quadrature-failure"),
     pytest.param(["invert", "--g", "chebT:[1]", "--regime", "high"], None,
                  EXIT_NOT_SOLVABLE, "not solvable: residual 1.000000e+00\n",
                  id="not-solvable"),
@@ -682,8 +686,6 @@ _SIZE = st.integers(1, 3).map(str)
 _BAD_SIZE = st.one_of(st.integers(-2, 0).map(str), _NOISE)
 _SEED = st.integers(0, 2**40).map(str)
 _TMP_FILE = st.sampled_from(["{tmp}/out", "{tmp}/missing/out"])
-_CONFIGS = ["max_panels = 64\n", "abs_tol = 1e-9\nrel_tol = 1e-9\n", "eps_edge = 0.5\n",
-            "seed = 1\n", "max_panels = abc\n", "abs_tol = 0\n"]
 
 # flag -> (well-formed values, malformed values); None where every value is malformed
 _COMMANDS = {
@@ -702,7 +704,8 @@ _COMMANDS = {
     "classify": {
         "--space": (_SPACE, _NOISE),
         "--lambda": (_LAMBDA, _NOISE),
-        "--boundary-points": (_SIZE, _BAD_SIZE),
+        "--boundary-points": (st.integers(8, 10).map(str),
+                              st.one_of(st.integers(-2, 7).map(str), _NOISE)),
         "--boundary-csv": (_TMP_FILE, None),
     },
     "eigencheck": {"--lambda": (_LAMBDA, _NOISE), "--grid": (_SIZE, _BAD_SIZE)},
@@ -725,7 +728,8 @@ _COMMANDS = {
         "--seed": (_SEED, _BAD_SIZE),
     },
 }
-_ALL_FLAGS = {flag for flags in _COMMANDS.values() for flag in flags} | {"--bogus"}
+# --config is a flag no subcommand has
+_ALL_FLAGS = {flag for flags in _COMMANDS.values() for flag in flags} | {"--bogus", "--config"}
 _REQUIRED = {"transform": {"--f"}, "invert": {"--g", "--regime"}, "classify": {"--space"},
              "eigencheck": {"--lambda"}, "identities": {"--suite"}, "norms": set()}
 
@@ -747,9 +751,6 @@ def _argv(draw):
         if flag in required or draw(st.integers(0, 3)):
             malformed = bad is not None and not clean and draw(st.booleans())
             argv.append(f"{flag}={draw(bad if malformed else good)}")
-    if draw(st.booleans()):
-        config = draw(st.integers(0, 1 if clean else len(_CONFIGS)))  # the last is missing
-        argv.append(f"--config={{tmp}}/{config}.conf")
     if not clean and not draw(st.integers(0, 3)):  # a flag this subcommand lacks
         argv.append(f"{draw(st.sampled_from(sorted(_ALL_FLAGS - set(_COMMANDS[command]))))}=1")
     if not draw(st.integers(0, 3)):
@@ -764,10 +765,6 @@ def _argv(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argv())
 def test_argv_fuzz_ends_in_a_documented_exit_code(tmp_path, argv):
-    for i, text in enumerate(_CONFIGS):  # tmp_path is shared by all examples
-        path = tmp_path / f"{i}.conf"
-        if not path.exists():
-            path.write_text(text)
     argv = [tok.replace("{tmp}", str(tmp_path)) for tok in argv]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \

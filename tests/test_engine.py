@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from finitehilbert import engine
 from finitehilbert.engine import (
     DEFAULT_CONFIG,
+    EPS_EDGE,
     TRICOMI,
     WIDOM,
     QuadratureConfig,
@@ -28,7 +29,12 @@ from finitehilbert.engine import (
     transform,
     weighted_transform,
 )
-from finitehilbert.errors import ExponentOutOfRange, NoConvergence, UnsupportedExponents
+from finitehilbert.errors import (
+    ExponentOutOfRange,
+    NoConvergence,
+    PointOutsideWindow,
+    UnsupportedExponents,
+)
 from finitehilbert.functions import (
     EndpointWeightedFunction,
     SampledFunction,
@@ -245,6 +251,36 @@ def test_sampled_input_goes_through_interpolation():
     grid = sample(lambda x: x, 200, spacing="cos")
     v = fht_pointwise(grid, 0.0)
     assert complex(v) == pytest.approx(2.0 / math.pi, abs=1e-6)
+
+
+@pytest.mark.parametrize("settings", [
+    {"abs_tol": 0.0}, {"rel_tol": 0.0}, {"abs_tol": -1e-10}, {"rel_tol": -1e-10},
+    {"abs_tol": math.nan}, {"rel_tol": math.nan}, {"max_panels": 3}, {"max_panels": 0},
+], ids=repr)
+def test_quadrature_config_rejects_bad_settings(settings):
+    with pytest.raises(ValueError):
+        QuadratureConfig(**settings)
+
+
+def test_quadrature_config_has_the_three_quadrature_settings_only():
+    assert DEFAULT_CONFIG == QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10, max_panels=4096)
+    with pytest.raises(TypeError):
+        QuadratureConfig(eps_edge=1e-6)
+
+
+@pytest.mark.parametrize("t", [
+    -1.0, 1.0, -1.0 + 0.5 * EPS_EDGE, 1.0 - 0.5 * EPS_EDGE, 1.5, [0.0, 1.0], math.nan,
+])
+def test_pointwise_rejects_points_outside_the_window(t):
+    with pytest.raises(PointOutsideWindow, match=r"t must lie in \[-1\+eps_edge"):
+        fht_pointwise(one(), t)
+
+
+def test_pointwise_accepts_the_window_edges():
+    assert EPS_EDGE == 1e-6
+    ts = np.array([-1.0 + EPS_EDGE, 1.0 - EPS_EDGE])
+    values = fht_pointwise(sqrt_weight(), ts)
+    assert np.allclose(values, -ts, atol=1e-8)
 
 
 def test_linearity_of_pointwise_transform():

@@ -74,9 +74,19 @@ def test_region_duality_and_reflection(lam):
 
 def test_boundary_polyline_classifies_boundary():
     for p in (1.3, 2.5):
-        pts = region_boundary_points(p, 400)
-        assert len(pts) >= 400
-        assert all(region_contains(p, z) == "boundary" for z in pts)
+        for n in (8, 9, 400, 403):
+            pts = region_boundary_points(p, n)
+            assert len(pts) == n
+            # each arc runs from -1 to 1; the first takes the extra point of an odd n
+            for arc in (pts[: (n + 1) // 2], pts[(n + 1) // 2:]):
+                assert (arc[0], arc[-1]) == (-1.0, 1.0)
+            assert all(region_contains(p, z) == "boundary" for z in pts)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 7])
+def test_boundary_polyline_rejects_fewer_than_8_points(n):
+    with pytest.raises(ValueError):
+        region_boundary_points(1.5, n)
 
 
 def test_xi_exponents():
