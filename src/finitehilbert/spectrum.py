@@ -102,15 +102,17 @@ def region_boundary_points(p, n=400):
     Each arc is the preimage of a ray arg(u) = const under the Moebius map,
     parameterized by |u| on a log scale, and runs from -1 to 1.  The n - 4
     points between the endpoints are split evenly between the arcs; for odd
-    n the first arc takes the extra one.
+    n the first arc takes the extra one.  At p = 2 both arcs are the segment
+    [-1, 1], drawn once with n - 2 points between its endpoints.
     """
     if n < MIN_BOUNDARY_POINTS:
         raise ValueError(f"n = {n} is below {MIN_BOUNDARY_POINTS}")
     pts = []
     tau = abs(0.5 - 1.0 / p)
+    arcs = ((1.0, (n - 3) // 2), (-1.0, (n - 4) // 2)) if tau else ((1.0, n - 2),)
     # |s| <= 8 keeps the round-trip phase error below the boundary tolerance;
     # the endpoints +-1 (u -> 0, inf) are appended exactly.
-    for sign, inner in ((1.0, (n - 3) // 2), (-1.0, (n - 4) // 2)):
+    for sign, inner in arcs:
         s = np.linspace(-8.0, 8.0, inner)
         u = np.exp(s + 1j * sign * 2.0 * math.pi * tau)
         lam = (u - 1.0) / (u + 1.0)

@@ -448,7 +448,7 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, file_text):
                  EXIT_PARSE, "parse error: ", id="os-error"),
     pytest.param(["eigencheck", "--lambda", "2,0"], None,
                  EXIT_PARSE, "error: ", id="other-error"),
-    pytest.param(["transform", "--f", "weighted:{-0.5,0.3,chebT:[1e308]}", "--points=0"],
+    pytest.param(["transform", "--f", "weighted:{-0.5,1,chebT:[1e308]}", "--points=0"],
                  None, EXIT_QUADRATURE, "quadrature failure: ", id="quadrature-failure"),
     pytest.param(["invert", "--g", "chebT:[1]", "--regime", "high"], None,
                  EXIT_NOT_SOLVABLE, "not solvable: residual 1.000000e+00\n",
@@ -489,13 +489,19 @@ _TOO_LARGE_FOR_QUAD = re.compile(
                  "non-finite result: T(f) overflowed: non-finite series coefficient\n",
                  id="spectral-conversion"),
     pytest.param(["transform", "--f", "weighted:{0.3,-0.4,chebT:[1e308,1e308]}", "--grid", "3"],
+                 "non-finite result: T(f) overflowed: non-finite series coefficient\n",
+                 id="jacobi-moments"),
+    pytest.param(["transform", "--f", "weighted:{-0.4,0.3,chebT:[1e308]}", "--points=0,0.999"],
+                 "non-finite result: T(f) is not finite at x=0.999\n", id="jacobi"),
+    # exponents on an integer keep the Jacobi weights on quadrature
+    pytest.param(["transform", "--f", "weighted:{0.3,0,chebT:[1e308,1e308]}", "--grid", "3"],
                  _TOO_LARGE_FOR_QUAD, id="quadrature"),
     pytest.param(["transform", "--f", "weighted:{2000,0,chebT:[1]}", "--points=0.1"],
                  _TOO_LARGE_FOR_QUAD, id="quadrature-weight-overflow"),
     pytest.param(["invert", "--g", "chebT:[1e308,1e308,1e308]", "--regime", "low"],
                  _TOO_LARGE_FOR_QUAD, id="invert"),
     # a node value of about 1.2e308 once crashed scipy's quad with a bus error
-    pytest.param(["transform", "--f", "weighted:{-0.5,0.3,chebT:[1e308]}", "--points=0"],
+    pytest.param(["transform", "--f", "weighted:{-0.5,1,chebT:[1e308]}", "--points=0"],
                  _TOO_LARGE_FOR_QUAD, id="quadrature-bus-error"),
     pytest.param(["invert", "--g", "chebT:[1e308,-1e308]", "--regime", "low"],
                  "quadrature failure: f is not finite at t=-0.95\n", id="invert-rhs-overflow"),
@@ -592,7 +598,11 @@ print(json.dumps([after_package, after_cli, runs]))
 
 
 def test_cold_start_loads_scipy_only_on_first_use(capsys):
-    """Imports and the closed-form and spectral commands run on numpy alone."""
+    """Imports and the polynomial and spectral commands run on numpy alone.
+
+    A Jacobi weight loads scipy.special and no quadrature; scipy.integrate
+    loads only once an exponent on an integer sends a transform to quadrature.
+    """
     numpy_only = [
         ["classify", "--space", "lebesgue:1.5", "--lambda", "0,0", "--no-timestamp"],
         ["transform", "--f", "chebT:[1,2,3]", "--points", "0.1,-0.5", "--no-timestamp"],
@@ -600,21 +610,25 @@ def test_cold_start_loads_scipy_only_on_first_use(capsys):
          "--no-timestamp"],
         ["transform", "--f", "poly:[0,1]", "--grid", "0"],  # usage error, exit 2
     ]
-    quadrature = ["transform", "--f", "weighted:{0.3,-0.4,chebT:[1,2]}", "--points", "0.1",
+    jacobi = ["transform", "--f", "weighted:{0.3,-0.4,chebT:[1,2]}", "--points", "0.1",
+              "--no-timestamp"]
+    quadrature = ["transform", "--f", "weighted:{0,-0.4,chebT:[1,2]}", "--points", "0.1",
                   "--no-timestamp"]
+    argvs = [*numpy_only, jacobi, quadrature]
     src = os.path.dirname(os.path.dirname(finitehilbert.__file__))
-    proc = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT,
-                           json.dumps([*numpy_only, quadrature])],
+    proc = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT, json.dumps(argvs)],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120, check=True)
     after_package, after_cli, runs = json.loads(proc.stdout)
     assert after_package == []
     assert after_cli == []
-    assert [loaded for *_, loaded in runs[:-1]] == [[]] * len(numpy_only)
-    assert runs[-2][0] == EXIT_PARSE
+    assert [loaded for *_, loaded in runs[:len(numpy_only)]] == [[]] * len(numpy_only)
+    assert runs[len(numpy_only) - 1][0] == EXIT_PARSE
+    assert "scipy.special" in runs[-2][3]
+    assert "scipy.integrate" not in runs[-2][3]
     assert "scipy.integrate" in runs[-1][3]
     in_process = []
-    for argv in [*numpy_only, quadrature]:
+    for argv in argvs:
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -19,6 +19,7 @@ from finitehilbert.engine import (
     _theta_integrand,
     fht_hat,
     fht_check,
+    fht_jacobi,
     fht_of_one,
     fht_pointwise,
     fht_polynomial,
@@ -99,16 +100,20 @@ def test_widom_convention_divides_by_i():
     assert complex(transform(sqrt_weight(), WIDOM)(t)) == pytest.approx(
         -t / 1j, abs=1e-10
     )
-    # on the quadrature route the widom image is the plain one divided by i
-    func = EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([1.0, 2.0], FIRST_KIND))
+    # on the Jacobi and the quadrature route the widom image is the plain one
+    # divided by i
     ts = np.linspace(-0.8, 0.8, 5)
+    func = EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([1.0, 2.0], FIRST_KIND))
+    assert np.array_equal(transform(func, WIDOM)(ts), fht_jacobi(func)(ts) / 1j)
+    func = EndpointWeightedFunction(0.0, -0.4, ChebyshevSeries([1.0, 2.0], FIRST_KIND))
     assert np.array_equal(transform(func, WIDOM)(ts), fht_pointwise(func, ts) / 1j)
 
 
 @pytest.mark.parametrize("func", [one(), sqrt_weight(), x_over_w(), sample(np.exp, 40),
+                                  EndpointWeightedFunction(0.0, -0.4, constant_series(1.0)),
                                   EndpointWeightedFunction(0.3, -0.4, constant_series(1.0))],
                          ids=["closed_form", "spectral_w", "spectral_1/w", "sampled",
-                              "quadrature"])
+                              "quadrature", "jacobi"])
 def test_transform_rejects_unknown_convention(func):
     with pytest.raises(ValueError, match="unknown convention"):
         transform(func, "bogus")
@@ -168,7 +173,7 @@ def _dispatch_cases():
         "jacobi": EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries(coeffs.real, FIRST_KIND)),
         "sampled": SampledFunction(np.linspace(-0.99, 0.99, 81),
                                    np.linspace(-0.99, 0.99, 81) ** 3 - 0.5),
-        # a scalar-only callable and complex exponents: quadrature routes
+        # a scalar-only callable, the one quadrature route here
         "callable": lambda x: math.exp(x) * math.sqrt(1.0 - x * x),
         "complex_exponents": EndpointWeightedFunction(
             -0.3 + 0.2j, -0.7 - 0.2j, ChebyshevSeries(coeffs[:2], FIRST_KIND)),
@@ -609,3 +614,198 @@ def test_quad_complex_evaluates_g_once_per_distinct_node(case, monkeypatch):
     assert len(nodes) == len(set(both_nodes))
     if case == "imag-subdivides-more":
         assert unseen
+
+
+# ---------------------------------------------------------------------------
+# The closed form for Jacobi weights (fht_jacobi).
+
+def _off_band(c):
+    return abs(c - round(c.real)) >= engine.JACOBI_BAND
+
+
+_JACOBI_REAL = st.floats(-0.9, 2.5).filter(_off_band)
+_JACOBI_COMPLEX = st.builds(complex, st.floats(-0.9, 2.5), st.floats(-1.5, 1.5)).filter(_off_band)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    exponents=st.one_of(st.tuples(_JACOBI_REAL, _JACOBI_REAL),
+                        st.tuples(_JACOBI_COMPLEX, _JACOBI_COMPLEX)),
+    degree=st.integers(0, 20),
+    basis=st.sampled_from([FIRST_KIND, SECOND_KIND]),
+    complex_coeffs=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.one_of(st.floats(-0.95, 0.95), st.lists(st.floats(-0.95, 0.95), min_size=1,
+                                                  max_size=3).map(np.array)),
+)
+def test_jacobi_closed_form_matches_quadrature(exponents, degree, basis, complex_coeffs,
+                                                seed, t):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(degree + 1)
+    if complex_coeffs:
+        coeffs = coeffs + 1j * rng.standard_normal(degree + 1)
+    func = EndpointWeightedFunction(*exponents, ChebyshevSeries(coeffs, basis))
+    image = transform(func)
+    value = image(t)
+    quadrature = fht_pointwise(func, t)
+    assert np.shape(value) == np.shape(quadrature)
+    assert isinstance(value, complex) == isinstance(quadrature, complex)
+    assert np.all(np.abs(value - quadrature) <= 1e-9 * np.maximum(1.0, np.abs(quadrature)))
+    if func.real_valued:
+        assert np.all(np.imag(value) == 0.0)
+
+
+# T(w s)(t) for the exponents, series and points below, computed with mpmath at
+# 40 digits by _mpmath_pv; the last pair is xi_lambda at lambda = 0.3 + 0.4i,
+# a = -1/2 + z(lambda), b = -1/2 - z(lambda).
+_MPMATH_TS = (-0.95, -0.3, 0.2, 0.9)
+_MPMATH_FIXTURES = {
+    "real": (0.3, -0.4, ChebyshevSeries([1.0, 2.0, -0.5], FIRST_KIND), (
+        "2.236946005352469146715346650202520638782",
+        "1.756124991465891707630291811119867604252",
+        "0.4801622291269545763585967975947251584093",
+        "-1.192269716456090084087375097868472821203")),
+    "strongly-singular": (-0.9, 0.6, ChebyshevSeries([0.5, -1.0, 0.25], SECOND_KIND), (
+        "-1.133012094788885560661408784692432876266",
+        "-2.972868064118890861165615875004907075509",
+        "-5.12393395023456768971788150857581751048",
+        "-29.0456033756010622991537449061609194758")),
+    "xi": (-0.3698677492611261 - 0.08323553293800633j,
+           -0.6301322507388739 + 0.08323553293800633j,
+           ChebyshevSeries([1.0, 0.5], FIRST_KIND), (
+        "-0.2690136136684914297586639581125591453543+1.042631871022025446241656788457437261359j",
+        "0.1495250450724187841633085261516977066981+0.2516024803489995106948121266999300193046j",
+        "0.08387628825522037908276140585826368013206+0.247291058383580008291110071963136468423j",
+        "-0.5246313769518712441449076360854051322703+0.3822417799152100578367301542391313397511j")),
+}
+
+
+def _mpmath_pv(a, b, series, t, dps=40):
+    """(1/pi) p.v. int (1-x)^a (1+x)^b s(x) / (x - t) dx in mpmath.
+
+    The middle piece (t - d, t + d) subtracts f(t), whose p.v. integral there
+    is 0; each piece next to an endpoint e = +-1 is integrated in v with
+    1 - e x = v^m, m = 2 / (1 + Re exponent), so its integrand is smooth at v = 0.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b, t = mpmath.mpmathify(a), mpmath.mpmathify(b), mpmath.mpf(t)
+        poly = mpmath.chebyt if series.basis == FIRST_KIND else mpmath.chebyu
+        coeffs = [mpmath.mpmathify(complex(c)) for c in series.coeffs]
+
+        def s(x):
+            return sum(c * poly(k, x) for k, c in enumerate(coeffs))
+
+        def f(x):
+            return (1 - x) ** a * (1 + x) ** b * s(x)
+
+        d = min(1 - t, 1 + t) / 2
+        ft = f(t)
+        total = mpmath.quad(lambda x: (f(x) - ft) / (x - t), [t - d, t, t + d])
+        for exponent, other, end in ((a, b, 1), (b, a, -1)):
+            m = 2 / (1 + mpmath.re(exponent))
+
+            def g(v):
+                u = v ** m
+                x = end * (1 - u)
+                return m * v ** (m * (exponent + 1) - 1) * (2 - u) ** other * s(x) / (x - t)
+
+            total += mpmath.quad(g, [0, (1 - end * t - d) ** (1 / m)])
+        return complex(total / mpmath.pi)
+
+
+@pytest.mark.parametrize("name", sorted(_MPMATH_FIXTURES))
+def test_jacobi_closed_form_matches_mpmath_fixtures(name):
+    a, b, series, values = _MPMATH_FIXTURES[name]
+    func = EndpointWeightedFunction(a, b, series)
+    want = np.array([complex(v) for v in values])
+    got = fht_jacobi(func)(np.array(_MPMATH_TS))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_jacobi_fixtures_come_from_the_mpmath_route():
+    a, b, series, values = _MPMATH_FIXTURES["xi"]
+    assert abs(_mpmath_pv(a, b, series, _MPMATH_TS[2]) - complex(values[2])) < 1e-15
+    # xi_lambda is an eigenfunction: T(xi) = i lambda xi
+    xi = EndpointWeightedFunction(a, b, constant_series(1.0))
+    ts = np.array(_MPMATH_TS)
+    assert np.allclose(fht_jacobi(xi)(ts), 1j * (0.3 + 0.4j) * xi(ts), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.5])
+@pytest.mark.parametrize("basis", [FIRST_KIND, SECOND_KIND])
+def test_jacobi_closed_form_matches_spectral_rules(a, basis):
+    rng = np.random.default_rng(17)
+    coeffs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    func = EndpointWeightedFunction(a, a, ChebyshevSeries(coeffs, basis))
+    ts = np.linspace(-0.99, 0.99, 41)
+    spectral = fht_spectral(func)(ts)
+    assert np.max(np.abs(fht_jacobi(func)(ts) - spectral)) <= 1e-13 * np.max(np.abs(spectral))
+
+
+@pytest.mark.parametrize("edge", [-1.0, 1.0])
+@pytest.mark.parametrize("integer", [0, 1, 2])
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_jacobi_band_edges_agree_with_quadrature(edge, integer, which):
+    """Just inside the band transform takes quadrature, just outside the closed form."""
+    series = ChebyshevSeries([0.7, -0.2, 0.4], FIRST_KIND)
+    ts = np.array([-0.8, -0.1, 0.5])
+    values = []
+    for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+        exponent = integer + edge * factor * engine.JACOBI_BAND
+        a, b = (exponent, -0.3) if which == "a" else (0.4, exponent)
+        values.append(transform(EndpointWeightedFunction(a, b, series))(ts))
+        if factor < 1.0:
+            with pytest.raises(UnsupportedExponents):
+                fht_jacobi(EndpointWeightedFunction(a, b, series))
+            assert np.array_equal(values[-1], fht_pointwise(EndpointWeightedFunction(a, b, series), ts))
+    inside, outside = values
+    assert np.all(np.abs(inside - outside) <= 1e-10 * np.maximum(1.0, np.abs(inside)))
+
+
+def test_large_jacobi_exponents_take_quadrature():
+    func = EndpointWeightedFunction(15.3, 5.2, ChebyshevSeries([1.0, 0.5], FIRST_KIND))
+    with pytest.raises(UnsupportedExponents):
+        fht_jacobi(func)
+    ts = np.array([-0.5, 0.5])
+    assert np.array_equal(transform(func)(ts), fht_pointwise(func, ts))
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """The number of scipy.integrate.quad calls made so far in the test."""
+    import scipy.integrate
+
+    original = scipy.integrate.quad
+    calls = [0]
+
+    def counting_quad(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    return calls
+
+
+def test_cross_checks_stay_on_quadrature(quad_calls):
+    from finitehilbert import airfoil, harness, spectrum
+
+    def calls_quad(run):
+        before = quad_calls[0]
+        run()
+        return quad_calls[0] > before
+
+    g = EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries([0.5, 1.0], FIRST_KIND))
+    assert calls_quad(lambda: spectrum.eigen_residual(0.3 + 0.4j, grid=np.array([0.1])))
+    assert calls_quad(lambda: airfoil.verify_roundtrip(g, airfoil.LOW))
+    assert calls_quad(lambda: harness.check_kernel(1.0))
+    assert calls_quad(lambda: harness.check_poincare_bertrand(g, g, grid=[0.2]))
+
+
+def test_jacobi_transform_calls_no_quadrature(quad_calls):
+    ts = np.linspace(-0.9, 0.9, 7)
+    for a, b in ((0.3, -0.4), (-0.5 + 0.2j, -0.5 - 0.2j), (2.7, 0.5)):
+        transform(EndpointWeightedFunction(a, b, ChebyshevSeries([1.0, 2.0])))(ts)
+    weighted_transform(0.2, -0.3, one(), ts, p=1.5)
+    assert quad_calls[0] == 0

@@ -83,6 +83,16 @@ def test_boundary_polyline_classifies_boundary():
             assert all(region_contains(p, z) == "boundary" for z in pts)
 
 
+@pytest.mark.parametrize("n", [8, 9, 400, 403])
+def test_boundary_polyline_at_p2_draws_the_segment_once(n):
+    # both arcs are the segment [-1, 1] there; each point appears once
+    pts = region_boundary_points(2.0, n)
+    assert len(np.unique(pts)) == len(pts) == n
+    assert np.all(pts.imag == 0.0) and np.all(np.diff(pts.real) > 0.0)
+    assert (pts[0], pts[-1]) == (-1.0, 1.0)
+    assert all(region_contains(2.0, z) == "boundary" for z in pts)
+
+
 @pytest.mark.parametrize("n", [0, 1, 5, 7])
 def test_boundary_polyline_rejects_fewer_than_8_points(n):
     with pytest.raises(ValueError):
