@@ -45,10 +45,6 @@ class NotSolvable(FhtError):
         self.residual = residual
 
 
-class DegenerateSet(FhtError):
-    """An indicator union with zero measure."""
-
-
 class BranchViolation(FhtError):
     """The Moebius image (1+lambda)/(1-lambda) landed on the branch cut."""
 

@@ -259,18 +259,18 @@ def test_sampled_input_goes_through_interpolation():
 
 
 @pytest.mark.parametrize("settings", [
-    {"abs_tol": 0.0}, {"rel_tol": 0.0}, {"abs_tol": -1e-10}, {"rel_tol": -1e-10},
-    {"abs_tol": math.nan}, {"rel_tol": math.nan}, {"max_panels": 3}, {"max_panels": 0},
+    {"tol": 0.0}, {"tol": -1e-10}, {"tol": math.nan}, {"max_panels": 3}, {"max_panels": 0},
 ], ids=repr)
 def test_quadrature_config_rejects_bad_settings(settings):
     with pytest.raises(ValueError):
         QuadratureConfig(**settings)
 
 
-def test_quadrature_config_has_the_three_quadrature_settings_only():
-    assert DEFAULT_CONFIG == QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10, max_panels=4096)
-    with pytest.raises(TypeError):
-        QuadratureConfig(eps_edge=1e-6)
+def test_quadrature_config_has_the_two_quadrature_settings_only():
+    assert DEFAULT_CONFIG == QuadratureConfig(tol=1e-10, max_panels=4096)
+    for setting in ({"eps_edge": 1e-6}, {"abs_tol": 1e-10}, {"rel_tol": 1e-10}):
+        with pytest.raises(TypeError):
+            QuadratureConfig(**setting)
 
 
 @pytest.mark.parametrize("t", [
@@ -294,7 +294,7 @@ def test_linearity_of_pointwise_transform():
     lhs = fht_pointwise(
         lambda x: 2.0 * complex(f(x)) + 3.0 * complex(g(x)),
         t,
-        QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9),
+        QuadratureConfig(tol=1e-9),
     )
     rhs = 2.0 * fht_pointwise(f, t) + 3.0 * fht_pointwise(g, t)
     assert complex(lhs) == pytest.approx(complex(rhs), abs=1e-7)
@@ -388,7 +388,7 @@ _REAL_EXPONENT = st.floats(-0.95, 3.0)
 _COMPLEX_EXPONENT = st.builds(complex, _REAL_EXPONENT, st.floats(-3.0, 3.0))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     exponents=st.one_of(
         st.tuples(_REAL_EXPONENT, _REAL_EXPONENT),
@@ -557,7 +557,7 @@ def test_quad_returns_an_unconverged_integral_without_a_warning():
         warnings.simplefilter("error")
         val, err = _quad(lambda s: math.sin(1.0 / s), 0.0, 1.0, cfg)
     assert math.isfinite(val)
-    assert err > cfg.abs_tol
+    assert err > cfg.tol
 
 
 @pytest.mark.parametrize("t", [-0.6, 0.0, 0.3])

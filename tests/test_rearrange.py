@@ -28,7 +28,7 @@ def test_rearrangement_is_decreasing_on_0_2():
     assert np.allclose(sorted(np.abs(g.values)), sorted(np.abs(f.values)))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.lists(st.floats(-100, 100), min_size=2, max_size=20))
 def test_rearrangement_preserves_lp(values):
     # the Lorentz (p,p) functional integrates the rearranged cells exactly

@@ -39,7 +39,7 @@ def _clenshaw_numpy_complex(coeffs, x, basis):
 _UNIT = st.floats(-1.0, 1.0)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     degree=st.integers(0, 70),
     basis=st.sampled_from([FIRST_KIND, SECOND_KIND]),
@@ -84,7 +84,7 @@ def test_basis_round_trip():
     assert np.allclose(s.to_basis(SECOND_KIND)(x), s(x), atol=1e-13)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8))
 def test_conversion_preserves_values(coeffs):
     tc = np.array(coeffs, dtype=complex)

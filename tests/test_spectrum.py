@@ -62,7 +62,7 @@ def test_cot_point_on_boundary():
         assert region_contains(p, 1j / math.tan(math.pi / p)) == "boundary"
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
 def test_region_duality_and_reflection(lam):
     p = 1.7
