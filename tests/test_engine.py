@@ -258,11 +258,16 @@ def test_sampled_input_goes_through_interpolation():
     assert complex(v) == pytest.approx(2.0 / math.pi, abs=1e-6)
 
 
+# tol is quad's absolute and its relative tolerance at once (both tol/4), so a
+# bad value in either role must be refused as a bad tol.
 @pytest.mark.parametrize("settings", [
-    {"tol": 0.0}, {"tol": -1e-10}, {"tol": math.nan}, {"max_panels": 3}, {"max_panels": 0},
+    {"abs_tol": 0.0}, {"abs_tol": -1e-10}, {"abs_tol": math.nan},
+    {"rel_tol": 0.0}, {"rel_tol": -1e-10}, {"rel_tol": math.nan},
+    {"max_panels": 3}, {"max_panels": 0},
 ], ids=repr)
 def test_quadrature_config_rejects_bad_settings(settings):
-    with pytest.raises(ValueError):
+    settings = {"tol" if k in ("abs_tol", "rel_tol") else k: v for k, v in settings.items()}
+    with pytest.raises(ValueError, match="tol must be positive" if "tol" in settings else None):
         QuadratureConfig(**settings)
 
 
