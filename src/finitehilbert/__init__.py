@@ -8,10 +8,8 @@ from .airfoil import (
     verify_roundtrip,
 )
 from .engine import (
-    DEFAULT_CONFIG,
     TRICOMI,
     WIDOM,
-    QuadratureConfig,
     fht_check,
     fht_hat,
     fht_pointwise,

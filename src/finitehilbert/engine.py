@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .errors import (
     SingularEvaluation,
     UnsupportedExponents,
 )
+from .functions import DEFAULT_EPS_EDGE as EPS_EDGE
 from .functions import EndpointWeightedFunction, SampledFunction
 from .series import (
     FIRST_KIND,
@@ -53,30 +53,14 @@ TRICOMI = "tricomi"
 WIDOM = "widom"
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerance and panel budget of the adaptive quadrature.
-
-    quad is asked for tol/4, absolute and relative, with at most max_panels
-    subintervals.  A value v is accepted when quad's error estimate is at most
-    10 tol max(1, |v|) for an integral (integrate_unit) and 100 tol max(1, |v|)
-    for a principal value (fht_pointwise); NoConvergence is raised otherwise.
-    """
-
-    tol: float = 1e-10
-    max_panels: int = 4096
-
-    def __post_init__(self):
-        if not self.tol > 0.0:  # also rejects NaN
-            raise ValueError("tol must be positive")
-        if self.max_panels < 4:
-            raise ValueError("max_panels must be >= 4")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
-
-# fht_pointwise takes t in [-1+EPS_EDGE, 1-EPS_EDGE] only.
-EPS_EDGE = 1e-6
+# The adaptive quadrature's tolerance and panel budget.  quad is asked for
+# QUAD_TOL/4, absolute and relative, with at most QUAD_PANELS subintervals.  A
+# value v is accepted when quad's error estimate is at most
+# 10 QUAD_TOL max(1, |v|) for an integral (integrate_unit) and
+# 100 QUAD_TOL max(1, |v|) for a principal value (fht_pointwise);
+# NoConvergence is raised otherwise.
+QUAD_TOL = 1e-10
+QUAD_PANELS = 4096
 
 # Degree of every Chebyshev re-interpolation: of sampled input and of the
 # weighted route of fht_hat.
@@ -115,8 +99,8 @@ def _is_real(f):
     return bool(getattr(f, "real_valued", False))
 
 
-def _quad(g, a, b, cfg):
-    """Adaptive quadrature with the panel budget from cfg; returns (value, err).
+def _quad(g, a, b):
+    """Adaptive quadrature at QUAD_TOL with QUAD_PANELS panels; returns (value, err).
 
     full_output makes quad return QUADPACK's message instead of warning.
     scipy.integrate loads on the first call, not at import, and quad is
@@ -126,9 +110,9 @@ def _quad(g, a, b, cfg):
 
     out = quad(
         g, a, b,
-        epsabs=0.25 * cfg.tol,
-        epsrel=0.25 * cfg.tol,
-        limit=cfg.max_panels,
+        epsabs=0.25 * QUAD_TOL,
+        epsrel=0.25 * QUAD_TOL,
+        limit=QUAD_PANELS,
         full_output=1,
     )
     val, err = out[0], out[1]
@@ -150,7 +134,7 @@ def _beyond_bound(value):
     return value
 
 
-def _quad_complex(g, a, b, cfg, real_only=False):
+def _quad_complex(g, a, b, real_only=False):
     """Integrate the real part, then the imaginary part, in two quad passes.
 
     The passes stay separate, so each sees the node set and the values it
@@ -165,7 +149,7 @@ def _quad_complex(g, a, b, cfg, real_only=False):
             value = g(s).real
             return value if -big < value < big else _beyond_bound(value)
 
-        re, err_re = _quad(real_of_real, a, b, cfg)
+        re, err_re = _quad(real_of_real, a, b)
         return complex(re), err_re
     seen = {}
 
@@ -181,8 +165,8 @@ def _quad_complex(g, a, b, cfg, real_only=False):
         value = value.imag
         return value if -big < value < big else _beyond_bound(value)
 
-    re, err_re = _quad(real_part, a, b, cfg)
-    im, err_im = _quad(imag_part, a, b, cfg)
+    re, err_re = _quad(real_part, a, b)
+    im, err_im = _quad(imag_part, a, b)
     return complex(re, im), err_re + err_im
 
 
@@ -212,15 +196,21 @@ def _theta_integrand(f, t=None, ft=0j):
     """
     pv = t is not None
     if not isinstance(f, EndpointWeightedFunction):
+        # a real f runs in floats, which equals the real part of the complex
+        # evaluation
+        real = _is_real(f)
+        if real:
+            ft = ft.real
+
         def plain(theta):
             x = math.cos(theta)
             s = math.sin(theta)
             if not pv:
-                return complex(f(x)) * s
+                return (f(x) if real else complex(f(x))) * s
             dx = x - t
             if -1e-13 < dx < 1e-13:
                 return _derivative(f, t) * s
-            return (complex(f(x)) * s - ft * s) / dx
+            return ((f(x) if real else complex(f(x))) * s - ft * s) / dx
 
         return plain
 
@@ -272,10 +262,8 @@ def integrate_unit(f):
     """int_{-1}^1 f(x) dx via the x = cos(theta) substitution."""
     f = _as_callable(f)
     real_only = _is_real(f)
-    cfg = DEFAULT_CONFIG
-    val, err = _quad_complex(_theta_integrand(f), 0.0, math.pi, cfg,
-                             real_only=real_only)
-    if err > cfg.tol * max(1.0, abs(val)) * 10.0:
+    val, err = _quad_complex(_theta_integrand(f), 0.0, math.pi, real_only=real_only)
+    if err > QUAD_TOL * max(1.0, abs(val)) * 10.0:
         raise NoConvergence(f"integral error estimate {err:.2e} too large")
     if real_only:
         return val.real
@@ -288,7 +276,7 @@ def _derivative(f, t):
     return (complex(f(t + h)) - complex(f(t - h))) / (2.0 * h)
 
 
-def fht_pointwise(f, t, cfg=DEFAULT_CONFIG):
+def fht_pointwise(f, t):
     """T(f)(t) = (1/pi) p.v. int f(x)/(x-t) dx by singularity subtraction.
 
     t is a scalar or an array in [-1+EPS_EDGE, 1-EPS_EDGE] (PointOutsideWindow
@@ -301,25 +289,25 @@ def fht_pointwise(f, t, cfg=DEFAULT_CONFIG):
         raise PointOutsideWindow(
             f"t must lie in [-1+eps_edge, 1-eps_edge] (eps_edge = {EPS_EDGE})")
     real_only = _is_real(f)
-    values = [_pv_at(f, s, cfg, real_only) for s in ts.ravel().tolist()]
+    values = [_pv_at(f, s, real_only) for s in ts.ravel().tolist()]
     if ts.ndim == 0:
         return values[0]
     return np.array(values, dtype=complex).reshape(ts.shape)
 
 
-def _pv_at(f, t, cfg, real_only):
+def _pv_at(f, t, real_only):
     """The p.v. quadrature of fht_pointwise at one point t."""
     ft = complex(f(t))
     if not np.isfinite(ft):
         raise SingularEvaluation(f"f is not finite at t={t}")
     phi = math.acos(t)
     g = _theta_integrand(f, t, ft)
-    v1, e1 = _quad_complex(g, 0.0, phi, cfg, real_only=real_only)
-    v2, e2 = _quad_complex(g, phi, math.pi, cfg, real_only=real_only)
+    v1, e1 = _quad_complex(g, 0.0, phi, real_only=real_only)
+    v2, e2 = _quad_complex(g, phi, math.pi, real_only=real_only)
     log_term = ft * math.log((1.0 - t) / (1.0 + t))
     result = (v1 + v2 + log_term) / math.pi
     err = (e1 + e2) / math.pi
-    if err > cfg.tol * max(1.0, abs(result)) * 100.0:
+    if err > QUAD_TOL * max(1.0, abs(result)) * 100.0:
         raise NoConvergence(f"p.v. quadrature error estimate {err:.2e} too large")
     if real_only:
         return complex(result.real)

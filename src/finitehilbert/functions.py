@@ -17,6 +17,8 @@ from .errors import (
 )
 from .series import FIRST_KIND, ChebyshevSeries
 
+# The interior window: sampled and CSV grids, and the points t of
+# engine.fht_pointwise (engine.EPS_EDGE), lie in [-1+eps, 1-eps].
 DEFAULT_EPS_EDGE = 1e-6
 
 

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from finitehilbert import engine
 from finitehilbert.engine import (
-    DEFAULT_CONFIG,
     EPS_EDGE,
     TRICOMI,
     WIDOM,
-    QuadratureConfig,
     _quad,
     _derivative,
     _quad_complex,
@@ -37,6 +35,7 @@ from finitehilbert.errors import (
     UnsupportedExponents,
 )
 from finitehilbert.functions import (
+    DEFAULT_EPS_EDGE,
     EndpointWeightedFunction,
     SampledFunction,
     constant_series,
@@ -258,26 +257,6 @@ def test_sampled_input_goes_through_interpolation():
     assert complex(v) == pytest.approx(2.0 / math.pi, abs=1e-6)
 
 
-# tol is quad's absolute and its relative tolerance at once (both tol/4), so a
-# bad value in either role must be refused as a bad tol.
-@pytest.mark.parametrize("settings", [
-    {"abs_tol": 0.0}, {"abs_tol": -1e-10}, {"abs_tol": math.nan},
-    {"rel_tol": 0.0}, {"rel_tol": -1e-10}, {"rel_tol": math.nan},
-    {"max_panels": 3}, {"max_panels": 0},
-], ids=repr)
-def test_quadrature_config_rejects_bad_settings(settings):
-    settings = {"tol" if k in ("abs_tol", "rel_tol") else k: v for k, v in settings.items()}
-    with pytest.raises(ValueError, match="tol must be positive" if "tol" in settings else None):
-        QuadratureConfig(**settings)
-
-
-def test_quadrature_config_has_the_two_quadrature_settings_only():
-    assert DEFAULT_CONFIG == QuadratureConfig(tol=1e-10, max_panels=4096)
-    for setting in ({"eps_edge": 1e-6}, {"abs_tol": 1e-10}, {"rel_tol": 1e-10}):
-        with pytest.raises(TypeError):
-            QuadratureConfig(**setting)
-
-
 @pytest.mark.parametrize("t", [
     -1.0, 1.0, -1.0 + 0.5 * EPS_EDGE, 1.0 - 0.5 * EPS_EDGE, 1.5, [0.0, 1.0], math.nan,
 ])
@@ -287,7 +266,8 @@ def test_pointwise_rejects_points_outside_the_window(t):
 
 
 def test_pointwise_accepts_the_window_edges():
-    assert EPS_EDGE == 1e-6
+    # one window for --points and fht_pointwise and for sampled and CSV grids
+    assert EPS_EDGE == DEFAULT_EPS_EDGE == 1e-6
     ts = np.array([-1.0 + EPS_EDGE, 1.0 - EPS_EDGE])
     values = fht_pointwise(sqrt_weight(), ts)
     assert np.allclose(values, -ts, atol=1e-8)
@@ -299,7 +279,6 @@ def test_linearity_of_pointwise_transform():
     lhs = fht_pointwise(
         lambda x: 2.0 * complex(f(x)) + 3.0 * complex(g(x)),
         t,
-        QuadratureConfig(tol=1e-9),
     )
     rhs = 2.0 * fht_pointwise(f, t) + 3.0 * fht_pointwise(g, t)
     assert complex(lhs) == pytest.approx(complex(rhs), abs=1e-7)
@@ -470,8 +449,10 @@ def test_flat_theta_integrand_matches_reference_near_exp_overflow(a, b):
     EndpointWeightedFunction(0.5, 0.5, ChebyshevSeries([0.3, 1.0, -0.7], SECOND_KIND)),
     xi_function(0.2 + 0.3j),
     lambda x: math.exp(x) * (1.0 - x * x) + 1j * x,
+    # declared real and not endpoint-weighted: the plain integrand runs in floats
+    ChebyshevSeries([1.0, -2.0, 0.5], SECOND_KIND),
 ], ids=["real", "imaginary-series", "zero", "signed-zeros", "complex", "weight-w", "xi",
-        "callable"])
+        "callable", "real-series"])
 def test_quadrature_is_bit_identical_with_reference_integrands(func, monkeypatch):
     ts = np.linspace(-0.9, 0.9, 7)
     values = list(fht_pointwise(func, ts)) + [complex(integrate_unit(func))]
@@ -480,12 +461,12 @@ def test_quadrature_is_bit_identical_with_reference_integrands(func, monkeypatch
     assert all(_equal(v, r, signed_zeros=True) for v, r in zip(values, reference))
 
 
-def _quad_complex_reference(g, a, b, cfg, real_only=False):
+def _quad_complex_reference(g, a, b, real_only=False):
     """Reference: two quad passes, each evaluating g at every one of its nodes."""
-    re, err_re = _quad(lambda s: g(s).real, a, b, cfg)
+    re, err_re = _quad(lambda s: g(s).real, a, b)
     if real_only:
         return complex(re), err_re
-    im, err_im = _quad(lambda s: g(s).imag, a, b, cfg)
+    im, err_im = _quad(lambda s: g(s).imag, a, b)
     return complex(re, im), err_re + err_im
 
 
@@ -494,9 +475,9 @@ def _xi_half_interval(monkeypatch, t, half):
     calls = []
     real_quad_complex = engine._quad_complex
 
-    def recording(g, a, b, cfg, real_only=False):
+    def recording(g, a, b, real_only=False):
         calls.append((g, a, b, real_only))
-        return real_quad_complex(g, a, b, cfg, real_only)
+        return real_quad_complex(g, a, b, real_only)
 
     monkeypatch.setattr(engine, "_quad_complex", recording)
     fht_pointwise(xi_function(0.2 + 0.3j), t)
@@ -528,15 +509,14 @@ def _complex_integral(case, monkeypatch):
 @pytest.mark.parametrize("case", _INTEGRAL_CASES)
 def test_quad_complex_is_bit_identical_to_two_pass_reference(case, monkeypatch):
     g, a, b = _complex_integral(case, monkeypatch)
-    assert _quad_complex(g, a, b, DEFAULT_CONFIG) == _quad_complex_reference(
-        g, a, b, DEFAULT_CONFIG)
+    assert _quad_complex(g, a, b) == _quad_complex_reference(g, a, b)
 
 
 def test_quad_complex_real_only_is_bit_identical_to_reference():
     f = EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([1.0, -2.0, 0.5], FIRST_KIND))
     g = _theta_integrand(f)
-    assert _quad_complex(g, 0.0, math.pi, DEFAULT_CONFIG, real_only=True) == (
-        _quad_complex_reference(g, 0.0, math.pi, DEFAULT_CONFIG, real_only=True))
+    assert _quad_complex(g, 0.0, math.pi, real_only=True) == (
+        _quad_complex_reference(g, 0.0, math.pi, real_only=True))
 
 
 @pytest.mark.parametrize("unit, real_only", [(1.0, True), (1.0, False), (1j, False)],
@@ -545,24 +525,23 @@ def test_quad_complex_stops_at_node_values_quad_cannot_sum(unit, real_only):
     # scipy's quad ended the process with a bus error on 1.7e308 / (1 + s) over (0, pi/2)
     with pytest.raises(NoConvergence, match="is too large for quadrature"):
         _quad_complex(lambda s: unit * 1.7e308 / (1.0 + s), 0.0, 0.5 * math.pi,
-                      DEFAULT_CONFIG, real_only=real_only)
+                      real_only=real_only)
 
 
 def test_quad_complex_leaves_non_finite_node_values_to_quad():
     with pytest.raises(NoConvergence, match="quadrature returned a non-finite value"):
-        _quad_complex(lambda s: complex(math.inf if s > 0.5 else 1.0, 1.0), 0.0, 1.0,
-                      DEFAULT_CONFIG)
+        _quad_complex(lambda s: complex(math.inf if s > 0.5 else 1.0, 1.0), 0.0, 1.0)
 
 
-def test_quad_returns_an_unconverged_integral_without_a_warning():
+def test_quad_returns_an_unconverged_integral_without_a_warning(monkeypatch):
     # sin(1/s) oscillates without end near 0, so four panels cannot meet 1e-10;
     # full_output makes quad return QUADPACK's message instead of warning
-    cfg = QuadratureConfig(max_panels=4)
+    monkeypatch.setattr(engine, "QUAD_PANELS", 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val, err = _quad(lambda s: math.sin(1.0 / s), 0.0, 1.0, cfg)
+        val, err = _quad(lambda s: math.sin(1.0 / s), 0.0, 1.0)
     assert math.isfinite(val)
-    assert err > cfg.tol
+    assert err > engine.QUAD_TOL
 
 
 @pytest.mark.parametrize("t", [-0.6, 0.0, 0.3])
@@ -606,15 +585,15 @@ def _counting(g):
 def test_quad_complex_evaluates_g_once_per_distinct_node(case, monkeypatch):
     g, a, b = _complex_integral(case, monkeypatch)
     counted, real_nodes = _counting(g)
-    _quad_complex_reference(counted, a, b, DEFAULT_CONFIG, real_only=True)
+    _quad_complex_reference(counted, a, b, real_only=True)
     counted, both_nodes = _counting(g)
-    _quad_complex_reference(counted, a, b, DEFAULT_CONFIG)
+    _quad_complex_reference(counted, a, b)
     assert both_nodes[:len(real_nodes)] == real_nodes
     seen = set(real_nodes)
     unseen = [s for s in both_nodes[len(real_nodes):] if s not in seen]
 
     counted, nodes = _counting(g)
-    _quad_complex(counted, a, b, DEFAULT_CONFIG)
+    _quad_complex(counted, a, b)
     assert nodes == real_nodes + unseen
     assert len(nodes) == len(set(both_nodes))
     if case == "imag-subdivides-more":

@@ -250,9 +250,21 @@ def test_khvedelidze_probe_regimes():
 # The cross-product closures and the spike wrapper as they were written before
 # _cross_products and _smoothed_spike(..., amp) replaced them.  The spike copy
 # must give the harness values bit for bit.  The Parseval and PB copies keep
-# their own quadrature: Parseval in x over (-1,1) by _quad_complex, PB with a
-# relaxed outer config.  The harness reports, from integrate_unit and from
-# fht_pointwise at the default config, must be no worse than theirs.
+# their own quadrature settings through _two_pass_quad: Parseval in x over
+# (-1,1) at tolerance 4e-10, PB's outer p.v. at 1e-8 with 512 panels.  The
+# harness reports, from integrate_unit and from fht_pointwise at the engine's
+# one setting, must be no worse than theirs.
+
+def _two_pass_quad(g, a, b, tol, panels):
+    """The real, then the imaginary part of int_a^b g, asking quad for tol/4."""
+    from scipy.integrate import quad
+
+    settings = {"epsabs": 0.25 * tol, "epsrel": 0.25 * tol, "limit": panels,
+                "full_output": 1}
+    re, err_re = quad(lambda s: g(s).real, a, b, **settings)[:2]
+    im, err_im = quad(lambda s: g(s).imag, a, b, **settings)[:2]
+    return complex(re, im), err_re + err_im
+
 
 def _parseval_copy(f, g):
     Tf = harness.transform(f)
@@ -261,15 +273,13 @@ def _parseval_copy(f, g):
     def integrand(x):
         return complex(f(x)) * Tg(x) + complex(g(x)) * Tf(x)
 
-    cfg = engine.QuadratureConfig(tol=4e-10)
-    val, err = engine._quad_complex(integrand, -1.0, 1.0, cfg)
+    val, _ = _two_pass_quad(integrand, -1.0, 1.0, 4e-10, 4096)
     scale = max(abs(complex(f(0.0))), abs(complex(g(0.0))), 1.0)
     return harness._report("parseval", [abs(val)], scale, TOLERANCES["parseval"], 1)
 
 
 def _poincare_bertrand_copy(f, g):
     grid = np.linspace(-0.8, 0.8, 10)
-    outer_cfg = engine.QuadratureConfig(tol=1e-8, max_panels=512)
     Tf = harness.transform(f)
     Tg = harness.transform(g)
 
@@ -277,12 +287,22 @@ def _poincare_bertrand_copy(f, g):
         # Hoelder at interior points; log-singular only at the endpoints
         return complex(g(x)) * Tf(x) + complex(f(x)) * Tg(x)
 
-    lhs = harness.fht_pointwise(inner, grid, outer_cfg)
+    lhs = np.array([_pv_copy(inner, t) for t in grid])
     rhs = Tf(grid) * Tg(grid) - f(grid) * g(grid)
     residuals = np.abs(lhs - rhs)
     scale = float(np.max(np.abs(rhs), initial=1.0))
     return harness._report("poincare_bertrand", residuals, scale,
                            TOLERANCES["poincare_bertrand"], len(grid))
+
+
+def _pv_copy(f, t):
+    """fht_pointwise's p.v. at t, with each half-interval at 1e-8 and 512 panels."""
+    ft = complex(f(t))
+    g = engine._theta_integrand(f, t, ft)
+    phi = math.acos(t)
+    v1, _ = _two_pass_quad(g, 0.0, phi, 1e-8, 512)
+    v2, _ = _two_pass_quad(g, phi, math.pi, 1e-8, 512)
+    return (v1 + v2 + ft * math.log((1.0 - t) / (1.0 + t))) / math.pi
 
 
 def _spike_copy(x0, beta, eps=1e-3):
@@ -331,25 +351,34 @@ def test_harness_binds_no_private_engine_name():
     assert private == []
 
 
-def test_parseval_and_poincare_bertrand_quadrature_at_the_default_config(monkeypatch):
-    configs = []
-    quad = engine._quad
+@pytest.fixture
+def quad_settings(monkeypatch):
+    """The (epsabs, epsrel, limit) of every scipy.integrate.quad call in the test."""
+    import scipy.integrate
 
-    def recording_quad(g, a, b, cfg):
-        configs.append(cfg)
-        return quad(g, a, b, cfg)
+    original = scipy.integrate.quad
+    settings = []
 
-    monkeypatch.setattr(engine, "_quad", recording_quad)
+    def recording_quad(*args, **kwargs):
+        settings.append((kwargs["epsabs"], kwargs["epsrel"], kwargs["limit"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", recording_quad)
+    return settings
+
+
+def test_parseval_and_poincare_bertrand_quadrature_at_the_default_config(quad_settings):
+    # one setting for every quad call, loglog_probe's included
     f, g = poly(1.0, 0.5), poly(0.3, -0.2, 0.1)
     check_parseval(f, g)
     check_poincare_bertrand(f, g)
-    assert configs and set(configs) == {engine.DEFAULT_CONFIG}
+    loglog_probe(family_size=1)
+    assert quad_settings and set(quad_settings) == {(2.5e-11, 2.5e-11, 4096)}
 
 
 def test_loglog_spikes_equal_the_wrapper_copy():
     # loglog_probe's family and grid at its default seed
     rng = np.random.default_rng(7)
-    cfg = harness.QuadratureConfig(tol=1e-7, max_panels=512)
     tgrid = np.linspace(-0.9, 0.9, 41)
     for _ in range(10):
         x0 = rng.uniform(-0.6, 0.6)
@@ -360,5 +389,20 @@ def test_loglog_spikes_equal_the_wrapper_copy():
         def f(x, spike=spike, amp=amp):
             return amp * spike(x)
 
-        values = harness.fht_pointwise(harness._smoothed_spike(x0, beta, amp), tgrid, cfg)
-        assert values.tolist() == harness.fht_pointwise(f, tgrid, cfg).tolist()
+        values = harness.fht_pointwise(harness._smoothed_spike(x0, beta, amp), tgrid)
+        assert values.tolist() == harness.fht_pointwise(f, tgrid).tolist()
+
+
+@pytest.mark.parametrize("x0, beta, amp, t", [
+    (-0.45, 0.3, 0.8, -0.7), (0.1, 0.55, 1.6, 0.1), (0.52, 0.78, 1.9, 0.35),
+    (-0.2, 0.21, 0.5, 0.88),
+])
+def test_declared_real_spike_takes_one_quad_pass_per_half_interval(
+        x0, beta, amp, t, quad_settings):
+    spike = harness._smoothed_spike(x0, beta, amp)
+    value = harness.fht_pointwise(spike, t)
+    real_calls = len(quad_settings)
+    wrapped = harness.fht_pointwise(lambda x: spike(x), t)
+    assert (real_calls, len(quad_settings) - real_calls) == (2, 4)
+    assert value.real == wrapped.real
+    assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0
