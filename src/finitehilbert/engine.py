@@ -22,6 +22,10 @@ computed after the substitution x = cos(theta), which removes square-root
 endpoint singularities exactly and weakens general algebraic ones.  It is the
 fallback for inputs no closed form covers and the independent route that the
 identity checks, the eigen-relation and the airfoil round trip use.
+
+Every route takes an EndpointWeightedFunction or, for quadrature, a plain
+callable.  Sampled data becomes a series once, where it enters: the CLI's
+csv: spec calls sampled_to_weighted.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
     UnsupportedExponents,
 )
 from .functions import DEFAULT_EPS_EDGE as EPS_EDGE
-from .functions import EndpointWeightedFunction, SampledFunction
+from .functions import EndpointWeightedFunction
 from .series import (
     FIRST_KIND,
     SECOND_KIND,
@@ -65,13 +69,6 @@ QUAD_PANELS = 4096
 # Degree of every Chebyshev re-interpolation: of sampled input and of the
 # weighted route of fht_hat.
 INTERP_DEGREE = 64
-
-
-def _as_callable(f):
-    """Normalize supported inputs to an evaluable function on (-1,1)."""
-    if isinstance(f, SampledFunction):
-        return sampled_to_weighted(f)
-    return f
 
 
 def sampled_to_weighted(f):
@@ -260,7 +257,6 @@ def _theta_integrand(f, t=None, ft=0j):
 
 def integrate_unit(f):
     """int_{-1}^1 f(x) dx via the x = cos(theta) substitution."""
-    f = _as_callable(f)
     real_only = _is_real(f)
     val, err = _quad_complex(_theta_integrand(f), 0.0, math.pi, real_only=real_only)
     if err > QUAD_TOL * max(1.0, abs(val)) * 10.0:
@@ -283,7 +279,6 @@ def fht_pointwise(f, t):
     otherwise); each point gets its own adaptive quadrature.  A scalar t
     gives a complex scalar, an array t an array of its shape.
     """
-    f = _as_callable(f)
     ts = np.asarray(t, dtype=float)
     if not np.all((-1.0 + EPS_EDGE <= ts) & (ts <= 1.0 - EPS_EDGE)):
         raise PointOutsideWindow(
@@ -314,10 +309,6 @@ def _pv_at(f, t, real_only):
     return result
 
 
-def _exponents_close(f, a, b, tol=1e-12):
-    return abs(complex(f.a) - a) <= tol and abs(complex(f.b) - b) <= tol
-
-
 def fht_spectral(f):
     """Exact transform of the two canonical weight classes.
 
@@ -326,12 +317,12 @@ def fht_spectral(f):
     """
     if not isinstance(f, EndpointWeightedFunction):
         raise UnsupportedExponents("spectral rule needs an endpoint-weighted function")
-    if _exponents_close(f, -0.5, -0.5):
+    if f.a == -0.5 and f.b == -0.5:
         tc = f.smooth.to_basis(FIRST_KIND).coeffs
         out = np.zeros(max(len(tc) - 1, 1), dtype=complex)
         out[: len(tc) - 1] = tc[1:]
         return EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(out, SECOND_KIND))
-    if _exponents_close(f, 0.5, 0.5):
+    if f.a == 0.5 and f.b == 0.5:
         uc = f.smooth.to_basis(SECOND_KIND).coeffs
         out = np.zeros(len(uc) + 1, dtype=complex)
         out[1:] = -uc
@@ -457,10 +448,9 @@ def fht_hat(g):
     sum b_n U_n -> (1/w) sum b_n T_{n+1} is exact; other inputs go through
     transform and re-interpolation.
     """
-    g = _as_callable(g)
     if not isinstance(g, EndpointWeightedFunction):
         raise UnsupportedExponents("fht_hat needs a series-backed function")
-    if _exponents_close(g, 0.0, 0.0):
+    if g.a == 0.0 and g.b == 0.0:
         # negated after the U conversion, so zero coefficients keep their sign
         uc = g.smooth.to_basis(SECOND_KIND).coeffs
         gw = EndpointWeightedFunction(0.5, 0.5, ChebyshevSeries(-uc, SECOND_KIND))
@@ -472,8 +462,7 @@ def fht_hat(g):
 
 def fht_check(g):
     """The pseudo-inverse -w T(g/w); spectral rule sum a_n T_n -> -w sum_{n>=1} a_n U_{n-1}."""
-    g = _as_callable(g)
-    if not (isinstance(g, EndpointWeightedFunction) and _exponents_close(g, 0.0, 0.0)):
+    if not (isinstance(g, EndpointWeightedFunction) and g.a == 0.0 and g.b == 0.0):
         raise UnsupportedExponents("fht_check needs a plain (0,0) series input")
     tc = g.smooth.to_basis(FIRST_KIND).coeffs
     g_over_w = EndpointWeightedFunction(-0.5, -0.5, ChebyshevSeries(-tc, FIRST_KIND))
@@ -490,12 +479,9 @@ def project_P(f):
 
 def project_Q(f):
     """Q(f) = ((1/pi) int f/w) * 1, the projection onto span{1}."""
-    f = _as_callable(f)
-    if isinstance(f, EndpointWeightedFunction):
-        over_w = f.shifted_exponents(-0.5, -0.5)
-    else:
-        over_w = lambda x: f(x) / math.sqrt(1.0 - x * x)
-    c = complex(integrate_unit(over_w)) / math.pi
+    if not isinstance(f, EndpointWeightedFunction):
+        raise UnsupportedExponents("project_Q needs a series-backed function")
+    c = complex(integrate_unit(f.shifted_exponents(-0.5, -0.5))) / math.pi
     return EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(np.array([c]), FIRST_KIND))
 
 
@@ -512,15 +498,11 @@ def weighted_transform(gamma, delta, f, t, p=2.0):
         raise ExponentOutOfRange(
             f"(gamma, delta)=({gamma}, {delta}) outside (-1/{p}, 1/{pprime:g})"
         )
-    f = _as_callable(f)
-    if isinstance(f, EndpointWeightedFunction):
-        over_rho = f.shifted_exponents(-gamma, -delta)
-    else:
-        def over_rho(x):
-            return f(x) * (1.0 - x) ** (-gamma) * (1.0 + x) ** (-delta)
+    if not isinstance(f, EndpointWeightedFunction):
+        raise UnsupportedExponents("weighted_transform needs a series-backed function")
     t = np.asarray(t, dtype=float)
     rho_t = (1.0 - t) ** gamma * (1.0 + t) ** delta
-    return rho_t * transform(over_rho)(t)
+    return rho_t * transform(f.shifted_exponents(-gamma, -delta))(t)
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +561,15 @@ def transform(f, convention=TRICOMI):
     """T(f) by the fastest exact route, with p.v. quadrature as the fallback.
 
     This is the one place that picks a route and the one place that applies
-    the convention: exponents (0,0) use the closed form for polynomials, the
-    weights w and 1/w (exponents +-1/2) the spectral rules, other Jacobi
-    weights the closed form of fht_jacobi, and everything else (exponents near
-    an integer or of large size, plain callables) fht_pointwise, one
-    quadrature per point.  Sampled input is interpolated first.  The evaluator
-    takes a scalar or an array; for 'widom' it returns the plain image
-    divided by i.
+    the convention: exponents exactly (0,0) use the closed form for
+    polynomials, exactly (+-1/2, +-1/2) (the weights w and 1/w) the spectral
+    rules, other Jacobi weights the closed form of fht_jacobi, and everything
+    else (exponents near an integer or of large size, plain callables)
+    fht_pointwise, one quadrature per point.  The evaluator takes a scalar or
+    an array; for 'widom' it returns the plain image divided by i.
     """
     if convention not in (TRICOMI, WIDOM):
         raise ValueError(f"unknown convention {convention!r}")
-    f = _as_callable(f)
     image = lambda t: fht_pointwise(f, t)
     if isinstance(f, EndpointWeightedFunction):
         if f.a == 0.0 and f.b == 0.0:

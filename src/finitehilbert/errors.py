@@ -26,7 +26,8 @@ class NoConvergence(FhtError):
 
 
 class UnsupportedExponents(FhtError):
-    """The closed-form spectral rules only cover the two canonical weight classes."""
+    """A route cannot take this input: no closed form covers its exponents, or it
+    needs an endpoint-weighted function and got a plain callable."""
 
 
 class PointOutsideWindow(FhtError):

@@ -130,23 +130,20 @@ class SampledFunction:
         return np.diff(self.cell_edges())
 
 
-def sample(func, n, eps_edge=DEFAULT_EPS_EDGE, spacing="uniform"):
-    """Sample a callable on an interior grid.
+def sample(func, n):
+    """Sample a callable at n points of [-1+eps, 1-eps], eps = DEFAULT_EPS_EDGE.
 
-    spacing 'cos' clusters nodes at the endpoints (useful for functions that
-    blow up there); 'uniform' is an evenly spaced interior grid.
+    The points are uniform in theta = arccos(x), so they cluster at the
+    endpoints, where functions such as 1/w blow up.
     """
     if n < 2:
         raise DegenerateGrid("need at least 2 samples")
-    if spacing == "cos":
-        theta_edge = np.arccos(1.0 - eps_edge)
-        theta = np.linspace(theta_edge, np.pi - theta_edge, n)
-        pts = np.cos(theta)[::-1]
-        pts = np.clip(pts, -1.0 + eps_edge, 1.0 - eps_edge)
-    else:
-        pts = np.linspace(-1.0 + eps_edge, 1.0 - eps_edge, n)
+    eps = DEFAULT_EPS_EDGE
+    theta_edge = np.arccos(1.0 - eps)
+    theta = np.linspace(theta_edge, np.pi - theta_edge, n)
+    pts = np.clip(np.cos(theta)[::-1], -1.0 + eps, 1.0 - eps)
     vals = np.asarray([func(x) for x in pts])
-    return SampledFunction(pts, vals, eps_edge=eps_edge)
+    return SampledFunction(pts, vals)
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ def sampled_to_csv(f):
     return table_to_csv(f.points, f.values)
 
 
-def sampled_from_csv(text, eps_edge=DEFAULT_EPS_EDGE):
+def sampled_from_csv(text):
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["x", "re", "im"]:
@@ -209,4 +206,4 @@ def sampled_from_csv(text, eps_edge=DEFAULT_EPS_EDGE):
             vals.append(complex(float(row[1]), float(row[2])))
         except (ValueError, IndexError) as exc:
             raise FunctionSpecError(f"bad CSV row {row!r}: want three numbers") from exc
-    return SampledFunction(np.array(pts), np.array(vals), eps_edge=eps_edge)
+    return SampledFunction(np.array(pts), np.array(vals))

@@ -22,6 +22,8 @@ TOLERANCES = {
     # the eigen-relation of fht eigencheck, at real and at complex lambda
     "eigen_real": 1e-8,
     "eigen_complex": 1e-5,
+    # fht invert's round trip, relative to max(1, max |g|) on its grid
+    "roundtrip": 1e-8,
     "norm_bound_slack": 1e-3,
     "stability": 0.10,
 }
@@ -254,15 +256,16 @@ def norm_probe(p, family_size=50, seed=0):
                                 "gap": bound - sup})
 
 
-def _smoothed_spike(x0, beta, amp, eps=1e-3):
+def _smoothed_spike(x0, beta, amp):
     """amp (|x-x0|^2 + eps^2)^(-beta/2): an integrable spike, smooth and bounded.
 
-    It is declared real, so fht_pointwise integrates it in one quad pass per
-    half-interval, in floats.
+    eps is 1e-3.  The spike is declared real, so fht_pointwise integrates it
+    in one quad pass per half-interval, in floats.
     """
+    eps_sq = 1e-3 * 1e-3
 
     def func(x):
-        return amp * ((x - x0) ** 2 + eps * eps) ** (-0.5 * beta)
+        return amp * ((x - x0) ** 2 + eps_sq) ** (-0.5 * beta)
 
     func.real_valued = True
     return func
@@ -285,8 +288,8 @@ def loglog_probe(family_size=10, seed=7):
         f = _smoothed_spike(x0, beta, amp)
         tf = SampledFunction(tgrid, fht_pointwise(f, tgrid), eps_edge=0.05)
         num = l1_norm(tf)
-        den = zygmund_norm(1.0, sample(f, n_grid, spacing="cos"))
-        den_fine = zygmund_norm(1.0, sample(f, 2 * n_grid, spacing="cos"))
+        den = zygmund_norm(1.0, sample(f, n_grid))
+        den_fine = zygmund_norm(1.0, sample(f, 2 * n_grid))
         ratios.append(num / den)
         ratios_fine.append(num / den_fine)
     sup = float(np.max(ratios))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGrid
-from .functions import SampledFunction, sample
+from .functions import SampledFunction
 
 
 def decreasing_rearrangement(f):
@@ -114,18 +114,18 @@ def _edge_log_sample(func, n, eps_edge):
     return SampledFunction(pts, vals, eps_edge=eps_edge)
 
 
-def lorentz_norm_with_divergence_check(func, p, q, n=4000, eps_edge=1e-6,
-                                       threshold=0.25):
+def lorentz_norm_with_divergence_check(func, p, q):
     """Evaluate the Lorentz functional of a callable and flag divergence.
 
-    The refinement doubles the node count and deepens the endpoint cutoff
-    (eps_edge -> eps_edge^2); a relative change above the threshold flags the
-    value as Unbounded.  Endpoint divergences (e.g. 1/w in L^2) only surface
-    when the cutoff is pushed inward, which is why the cutoff is squared.
+    The value comes from 4000 nodes with the endpoint cutoff at 1e-6.  The
+    refinement doubles the node count and squares the cutoff; a relative
+    change above 25% flags the value as unbounded.  Endpoint divergences
+    (e.g. 1/w in L^2) only surface when the cutoff is pushed inward, which is
+    why the cutoff is squared.
     """
-    coarse = _edge_log_sample(func, n, eps_edge)
-    fine = _edge_log_sample(func, 2 * n, eps_edge**2)
+    coarse = _edge_log_sample(func, 4000, 1e-6)
+    fine = _edge_log_sample(func, 8000, 1e-6**2)
     v0 = lorentz_norm(p, q, coarse)
     v1 = lorentz_norm(p, q, fine)
     rel = abs(v1 - v0) / max(abs(v0), 1e-300)
-    return NormEstimate(value=v0, refined_value=v1, unbounded=rel > threshold)
+    return NormEstimate(value=v0, refined_value=v1, unbounded=rel > 0.25)

@@ -17,8 +17,6 @@ from .errors import NonFiniteSample
 FIRST_KIND = "T"
 SECOND_KIND = "U"
 
-DEFAULT_TAIL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ChebyshevSeries:
@@ -62,21 +60,10 @@ class ChebyshevSeries:
         # U_0 = 1, U_1 = 2x
         return coeffs[0] + 2.0 * x * b1 - b2
 
-    def resolved(self, tail_tol=DEFAULT_TAIL_TOL):
-        """True when the last two coefficients are below tail_tol relative to the peak."""
-        mags = np.abs(self.coeffs)
-        peak = mags.max()
-        if peak == 0.0:
-            return True
-        if len(mags) == 1:
-            return True
-        return max(mags[-1], mags[-2]) <= tail_tol * peak
-
-    def trimmed(self, tol=0.0):
-        mags = np.abs(self.coeffs)
-        peak = mags.max()
+    def trimmed(self):
+        """The series without its trailing zero coefficients (c_0 always stays)."""
         keep = len(self.coeffs)
-        while keep > 1 and mags[keep - 1] <= tol * max(peak, 1.0):
+        while keep > 1 and self.coeffs[keep - 1] == 0.0:
             keep -= 1
         return ChebyshevSeries(self.coeffs[:keep], self.basis)
 

@@ -134,8 +134,6 @@ def xi_eval(lam, x):
 
 def eigen_residual(lam, grid=None):
     """sup over the grid of |(T/i)(xi)(t) - lambda xi(t)| / (1 + |xi(t)|)."""
-    if not in_eigenvalue_set(lam):
-        raise OutsideEigenvalueSet(f"lambda = {lam}")
     gamma = gamma_of_lambda(lam)
     if gamma <= 1.05:
         raise ExponentOutOfRange(
@@ -204,29 +202,36 @@ def empty():
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """Identity of a parametric rearrangement-invariant space."""
+    """A rearrangement-invariant space, by its Boyd indices (Boyd 1969).
 
-    kind: str  # lebesgue | lorentz | indexed
-    p: float | None = None
-    r: float | None = None
-    p_index: float | None = None
-    q_index: float | None = None
-    p_attained: bool = False
-    q_attained: bool = False
+    The fine-spectrum table reads only these: the p and q indices and whether
+    each is attained.
+    """
+
+    p_index: float
+    q_index: float
+    p_attained: bool
+    q_attained: bool
 
     @classmethod
     def lebesgue(cls, p):
+        """L^p has indices (p, p), neither attained."""
         if not 1.0 < p < math.inf:
             raise UnsupportedDescriptor("lebesgue exponent must lie in (1, inf)")
-        return cls(kind="lebesgue", p=float(p))
+        return cls(float(p), float(p), False, False)
 
     @classmethod
     def lorentz(cls, p, r):
+        """L^{p,r} has the indices of L^p, the q index attained exactly when r = 1."""
         if not 1.0 < p < math.inf:
             raise UnsupportedDescriptor("lorentz p must lie in (1, inf)")
-        if not (r == math.inf or r >= 1.0):
+        if not r >= 1.0:
             raise UnsupportedDescriptor("lorentz r must be >= 1 or inf")
-        return cls(kind="lorentz", p=float(p), r=float(r))
+        if r == math.inf:
+            raise UnsupportedDescriptor(
+                "weak Lorentz spaces are non-separable; tables cover 1 <= r < inf"
+            )
+        return cls(float(p), float(p), False, float(r) == 1.0)
 
     @classmethod
     def indexed(cls, p_index, q_index, p_attained, q_attained):
@@ -238,8 +243,7 @@ class SpaceDescriptor:
             raise UnsupportedDescriptor(
                 "no space has equal indices with both attained"
             )
-        return cls(kind="indexed", p_index=float(p_index), q_index=float(q_index),
-                   p_attained=bool(p_attained), q_attained=bool(q_attained))
+        return cls(float(p_index), float(q_index), bool(p_attained), bool(q_attained))
 
     @classmethod
     def catalog(cls, name):
@@ -258,25 +262,6 @@ class FineSpectrum:
     def parts(self):
         return {"point": self.point, "residual": self.residual,
                 "continuous": self.continuous}
-
-
-def _boyd_indices(desc):
-    """(p index, q index, p attained, q attained) of a descriptor (Boyd 1969).
-
-    L^p has indices (p, p), neither attained; L^{p,r} has the same indices,
-    with the q index attained exactly when r = 1.
-    """
-    if desc.kind == "lebesgue":
-        return desc.p, desc.p, False, False
-    if desc.kind == "lorentz":
-        if desc.r == math.inf:
-            raise UnsupportedDescriptor(
-                "weak Lorentz spaces are non-separable; tables cover 1 <= r < inf"
-            )
-        return desc.p, desc.p, False, desc.r == 1.0
-    if desc.kind == "indexed":
-        return desc.p_index, desc.q_index, desc.p_attained, desc.q_attained
-    raise UnsupportedDescriptor(f"unknown descriptor kind {desc.kind!r}")
 
 
 def _indexed_spectrum(s_p, s_q, p_attained, q_attained):
@@ -341,7 +326,8 @@ def resolve_catalog(name):
 
 def classify_space(desc):
     """Symbolic fine-spectrum decomposition for a supported descriptor."""
-    return _indexed_spectrum(*_boyd_indices(desc))
+    return _indexed_spectrum(desc.p_index, desc.q_index, desc.p_attained,
+                             desc.q_attained)
 
 
 RESOLVENT = "resolvent"
@@ -359,9 +345,9 @@ def classify_point(desc, lam):
             label = name
             break
     if label == POINT:
-        p_index, _, p_attained, _ = _boyd_indices(desc)
         gamma = gamma_of_lambda(lam)
-        member = (p_index <= gamma) if p_attained else (p_index < gamma)
+        p_index = desc.p_index
+        member = (p_index <= gamma) if desc.p_attained else (p_index < gamma)
         if not member:
             raise UnsupportedDescriptor(
                 "table and eigenfunction membership disagree; descriptor invalid"

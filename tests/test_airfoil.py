@@ -12,8 +12,8 @@ from finitehilbert.airfoil import (
     verify_roundtrip,
 )
 from finitehilbert.engine import integrate_unit
-from finitehilbert.errors import NotSolvable
-from finitehilbert.functions import EndpointWeightedFunction, one
+from finitehilbert.errors import NotSolvable, UnsupportedExponents
+from finitehilbert.functions import EndpointWeightedFunction, one, sample
 from finitehilbert.series import FIRST_KIND, ChebyshevSeries
 
 
@@ -79,6 +79,15 @@ def test_hat_solution_integrates_to_zero():
     val = complex(integrate_unit(solve_low(g, C=0.0)))
     # T_hat output has no T_0/w component, and int T_n/w = 0 for n >= 1
     assert abs(val) < 1e-8
+
+
+def test_right_hand_side_must_be_series_backed():
+    # sampled data becomes a series where it enters (the csv: spec), not here
+    for g in (sample(np.exp, 40), math.exp):
+        for solve in (solve_low, solve_high, solvability_residual,
+                      lambda g: verify_roundtrip(g, LOW)):
+            with pytest.raises(UnsupportedExponents, match="must be series-backed"):
+                solve(g)
 
 
 def test_unknown_regime_rejected():

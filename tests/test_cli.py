@@ -177,6 +177,23 @@ def test_invert_low(capsys):
     assert payload["solution"] == "weighted:{-0.5,-0.5,chebT:[0.0,1.0]}"
 
 
+@pytest.mark.parametrize("g", [
+    "weighted:{0.3,-0.4,chebT:[1,2]}",
+    "weighted:{0.5,0.5,chebU:[1,2]}",
+    "weighted:{-0.5,-0.5,chebT:[1,2]}",
+])
+def test_invert_exits_1_when_the_round_trip_fails(capsys, g):
+    # T(g w) of a weighted g is re-interpolated at degree 64, and its endpoint
+    # terms make that series converge slowly: the printed solution is wrong
+    code, out, err = run_cli(capsys, "invert", "--g", g, "--regime", "low",
+                             "--no-timestamp")
+    payload = json.loads(out)
+    assert (code, err) == (1, "")
+    # the payload is printed as on success
+    assert payload["command"] == "invert" and payload["solution"].startswith("weighted:")
+    assert payload["roundtrip_residual"] > finitehilbert.harness.TOLERANCES["roundtrip"]
+
+
 @pytest.mark.parametrize("text, solution", [
     ("0.25", "weighted:{-0.5,-0.5,chebT:[0.25,-0.25,0.5,0.25]}"),
     ("-0", "weighted:{-0.5,-0.5,chebT:[0.0,-0.25,0.5,0.25]}"),
@@ -343,7 +360,7 @@ def test_norms_subcommand(capsys):
 def test_csv_spec_input(tmp_path, capsys):
     from finitehilbert.functions import sample, sampled_to_csv
 
-    grid = sample(lambda x: x, 120, spacing="cos")
+    grid = sample(lambda x: x, 120)
     path = tmp_path / "f.csv"
     path.write_text(sampled_to_csv(grid))
     code, out, _ = run_cli(capsys, "transform", "--f", f"csv:{path}",

@@ -25,6 +25,7 @@ from finitehilbert.engine import (
     integrate_unit,
     project_P,
     project_Q,
+    sampled_to_weighted,
     transform,
     weighted_transform,
 )
@@ -92,6 +93,28 @@ def test_spectral_rules_match_fixtures():
 def test_spectral_rejects_other_exponents():
     with pytest.raises(UnsupportedExponents):
         fht_spectral(one())
+
+
+def test_spectral_rules_take_their_exponents_exactly():
+    # one meaning of "plain" and of w, 1/w: exact equality, as in transform
+    series = ChebyshevSeries([1.0, 2.0], FIRST_KIND)
+    for a in (-0.5 + 1e-13, 0.5 - 1e-13):
+        with pytest.raises(UnsupportedExponents):
+            fht_spectral(EndpointWeightedFunction(a, a, series))
+    with pytest.raises(UnsupportedExponents):
+        fht_check(EndpointWeightedFunction(1e-13, 0.0, series))
+    # 1e-13 off (0,0), fht_hat re-interpolates T(g w) instead of the U shift
+    near = EndpointWeightedFunction(1e-13, 0.0, series)
+    assert fht_hat(near).smooth.degree == engine.INTERP_DEGREE
+
+
+def test_series_routes_reject_plain_callables_and_samples():
+    samples = sample(np.exp, 40)
+    for route in (fht_hat, fht_check, project_Q,
+                  lambda f: weighted_transform(0.1, 0.1, f, 0.0)):
+        for f in (math.exp, samples):
+            with pytest.raises(UnsupportedExponents):
+                route(f)
 
 
 def test_widom_convention_divides_by_i():
@@ -165,13 +188,14 @@ def _dispatch_cases():
     rng = np.random.default_rng(8)
     coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     mono_tc = np.polynomial.chebyshev.poly2cheb(coeffs)
+    xs = np.linspace(-0.99, 0.99, 81)
     cases = {
         "poly": EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(mono_tc, FIRST_KIND)),
         "chebT": EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(coeffs, FIRST_KIND)),
         "chebU": EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(coeffs, SECOND_KIND)),
         "jacobi": EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries(coeffs.real, FIRST_KIND)),
-        "sampled": SampledFunction(np.linspace(-0.99, 0.99, 81),
-                                   np.linspace(-0.99, 0.99, 81) ** 3 - 0.5),
+        # sampled data enters as the series the csv: spec makes of it
+        "sampled": sampled_to_weighted(SampledFunction(xs, xs**3 - 0.5)),
         # a scalar-only callable, the one quadrature route here
         "callable": lambda x: math.exp(x) * math.sqrt(1.0 - x * x),
         "complex_exponents": EndpointWeightedFunction(
@@ -249,12 +273,6 @@ def test_weighted_transform_window():
     assert values.shape == ts.shape
     assert list(values) == [weighted_transform(0.2, -0.1, sqrt_weight(), float(t), p=2.0)
                             for t in ts]
-
-
-def test_sampled_input_goes_through_interpolation():
-    grid = sample(lambda x: x, 200, spacing="cos")
-    v = fht_pointwise(grid, 0.0)
-    assert complex(v) == pytest.approx(2.0 / math.pi, abs=1e-6)
 
 
 @pytest.mark.parametrize("t", [

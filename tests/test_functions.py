@@ -84,11 +84,10 @@ def test_cell_edges_cover_domain():
 
 
 def test_sample_spacings():
-    for spacing in ("uniform", "cos"):
-        s = sample(lambda x: x * x, 50, spacing=spacing)
-        assert len(s) == 50
-        assert np.all(np.abs(s.points) <= 1.0 - s.eps_edge)
-        assert np.allclose(s.values.real, s.points**2, atol=1e-14)
+    s = sample(lambda x: x * x, 50)
+    assert len(s) == 50
+    assert np.all(np.abs(s.points) <= 1.0 - s.eps_edge)
+    assert np.allclose(s.values.real, s.points**2, atol=1e-14)
 
 
 def test_indicator_union_normalization():

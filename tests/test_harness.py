@@ -344,13 +344,6 @@ def test_identity_suite_passes_on_seeds(capsys, suite, seeds):
     assert codes == dict.fromkeys(seeds, 0)
 
 
-def test_harness_binds_no_private_engine_name():
-    private = [name for name, value in vars(harness).items()
-               if getattr(value, "__module__", None) == engine.__name__
-               and (name.startswith("_") or getattr(value, "__name__", "").startswith("_"))]
-    assert private == []
-
-
 @pytest.fixture
 def quad_settings(monkeypatch):
     """The (epsabs, epsrel, limit) of every scipy.integrate.quad call in the test."""

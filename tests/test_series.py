@@ -173,8 +173,9 @@ def test_gauss_nodes_are_interior_and_decreasing():
     assert np.all(np.diff(nodes) < 0.0)
 
 
-def test_resolved_and_trimmed():
-    s = ChebyshevSeries([1.0, 0.5, 1e-15, 1e-16], FIRST_KIND)
-    assert s.resolved()
-    assert not ChebyshevSeries([1.0, 0.5, 0.5], FIRST_KIND).resolved()
-    assert s.trimmed(tol=1e-12).degree == 1
+def test_trimmed_drops_trailing_exact_zeros():
+    s = ChebyshevSeries([1.0, 0.5, 0.0, -0.0, 0.0], SECOND_KIND).trimmed()
+    assert s.coeffs.tolist() == [1.0, 0.5] and s.basis == SECOND_KIND
+    # only exact zeros go, and c_0 always stays
+    assert ChebyshevSeries([1.0, 0.5, 1e-300], FIRST_KIND).trimmed().degree == 2
+    assert ChebyshevSeries([0.0, 0.0], FIRST_KIND).trimmed().coeffs.tolist() == [0.0]

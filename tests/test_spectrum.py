@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +48,9 @@ def test_gamma_values():
     with pytest.raises(OutsideEigenvalueSet):
         gamma_of_lambda(1.5)
     assert not in_eigenvalue_set(-2.0)
+    # eigen_residual has no check of its own: gamma_of_lambda raises
+    with pytest.raises(OutsideEigenvalueSet, match="excluded real rays"):
+        eigen_residual(-2.0)
 
 
 def test_region_membership():
@@ -127,8 +132,11 @@ def test_lebesgue_classification_rows():
 
 
 def test_lorentz_rejects_weak_spaces():
-    with pytest.raises(UnsupportedDescriptor):
-        classify_space(SpaceDescriptor.lorentz(2.0, math.inf))
+    message = "weak Lorentz spaces are non-separable; tables cover 1 <= r < inf"
+    with pytest.raises(UnsupportedDescriptor, match=f"^{re.escape(message)}$"):
+        SpaceDescriptor.lorentz(2.0, math.inf)
+    with pytest.raises(UnsupportedDescriptor, match=f"^{re.escape(message)}$"):
+        resolve_catalog("lorentz:2,oo")
 
 
 def test_descriptor_validation():
@@ -175,15 +183,21 @@ def test_partition_checks():
         assert ok, info
 
 
+def _boyd_fields(desc):
+    return desc.p_index, desc.q_index, desc.p_attained, desc.q_attained
+
+
 def test_catalog_resolution():
-    desc = resolve_catalog("lebesgue:2")
-    assert desc.kind == "lebesgue" and desc.p == 2.0
+    # a descriptor is its Boyd indices and nothing else
+    assert [f.name for f in dataclasses.fields(SpaceDescriptor)] == [
+        "p_index", "q_index", "p_attained", "q_attained"]
+    assert _boyd_fields(resolve_catalog("lebesgue:2")) == (2.0, 2.0, False, False)
     desc = resolve_catalog("lorentz:1.5,3")
-    assert desc.kind == "lorentz" and desc.r == 3.0
+    assert _boyd_fields(desc) == (1.5, 1.5, False, False)
     assert SpaceDescriptor.catalog("lorentz:1.5,3") == desc
+    assert _boyd_fields(resolve_catalog("lorentz:3,1")) == (3.0, 3.0, False, True)
     desc = resolve_catalog("indexed:3,1.5,yes,0")
-    assert (desc.kind, desc.p_index, desc.q_index) == ("indexed", 3.0, 1.5)
-    assert (desc.p_attained, desc.q_attained) == (True, False)
+    assert _boyd_fields(desc) == (3.0, 1.5, True, False)
     for bad in ("orlicz:whatever", "indexed:3,1.5,maybe,0"):
         with pytest.raises(UnsupportedDescriptor):
             resolve_catalog(bad)
