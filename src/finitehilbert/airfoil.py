@@ -7,12 +7,11 @@ int g/w vanishes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import fht_check, fht_hat, fht_pointwise, integrate_unit
+from .engine import fht_check, fht_hat, fht_pointwise, project_P, project_Q
 from .errors import NotSolvable, UnsupportedExponents
 from .functions import EndpointWeightedFunction
 from .series import ChebyshevSeries
@@ -51,9 +50,8 @@ def solve_low(g, C=0.0):
 
 
 def solvability_residual(g):
-    """|(1/pi) int g/w|; zero iff g lies in the range of T in the high regime."""
-    over_w = _prepare_rhs(g).shifted_exponents(-0.5, -0.5)
-    return abs(complex(integrate_unit(over_w))) / math.pi
+    """|Qg| = |(1/pi) int g/w|; zero iff g lies in the range of T in the high regime."""
+    return abs(complex(project_Q(_prepare_rhs(g)).smooth.coeffs[0]))
 
 
 def solve_high(g):
@@ -70,7 +68,7 @@ def verify_roundtrip(g, regime, C=0.0):
 
     The round trip deliberately uses the principal-value quadrature engine, not
     the spectral rules that produced the solution, so the two routes check each
-    other.
+    other.  In the low regime the recovered C is the coefficient of P f = C/w.
     """
     g = _prepare_rhs(g)
     if regime == LOW:
@@ -84,6 +82,6 @@ def verify_roundtrip(g, regime, C=0.0):
     residual = np.max(np.abs(image - values))
     constant = None
     if regime == LOW:
-        constant = complex(integrate_unit(f)) / math.pi
+        constant = complex(project_P(f).smooth.coeffs[0])
     return RoundTripReport(max_residual=float(residual), constant_recovered=constant,
                            max_rhs=float(np.max(np.abs(values))))

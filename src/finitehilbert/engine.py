@@ -11,7 +11,8 @@ off the integers, times a Chebyshev series s has the closed form
     T(w s)(t) = s(t) T(w)(t) + (1/pi) sum_k r_k T_k(t),
 
 where T(w) is the Erdogan-Gupta-Cook hypergeometric formula and the r_k come
-from the moments int w U_m (fht_jacobi).
+from the moments int w U_m (fht_jacobi).  The same recurrence's moments
+int w T_k give the integral of every such w s (integrate_unit).
 
 The principal-value integral is evaluated by singularity subtraction,
 
@@ -60,7 +61,7 @@ WIDOM = "widom"
 # The adaptive quadrature's tolerance and panel budget.  quad is asked for
 # QUAD_TOL/4, absolute and relative, with at most QUAD_PANELS subintervals.  A
 # value v is accepted when quad's error estimate is at most
-# 10 QUAD_TOL max(1, |v|) for an integral (integrate_unit) and
+# 10 QUAD_TOL max(1, |v|) for the integral of a plain callable (integrate_unit) and
 # 100 QUAD_TOL max(1, |v|) for a principal value (fht_pointwise);
 # NoConvergence is raised otherwise.
 QUAD_TOL = 1e-10
@@ -92,7 +93,10 @@ def sampled_to_weighted(f):
     return EndpointWeightedFunction(0.0, 0.0, series)
 
 
-def _is_real(f):
+def _runs_real(f):
+    """Whether quadrature may run f in floats; UnsupportedExponents if f is not callable."""
+    if not callable(f):
+        raise UnsupportedExponents(f"quadrature needs a callable, not {type(f).__name__}")
     return bool(getattr(f, "real_valued", False))
 
 
@@ -180,29 +184,28 @@ def _numpy_exp(z):
 
 
 def _theta_integrand(f, t=None, ft=0j):
-    """The integrand of integrate_unit (t None) or of the p.v. quadrature at t.
+    """The integrand of the p.v. quadrature at t, or (plain f, t None) of integrate_unit.
 
-    After x = cos(theta) the first is f(x) sin(theta) and the second
-    (f(x) - f(t)) sin(theta) / (x - t), which is f'(t) sin(theta) where
-    |x - t| < 1e-13; only there is f'(t) estimated.  For endpoint-weighted f
+    After x = cos(theta) the first is (f(x) - f(t)) sin(theta) / (x - t), which
+    is f'(t) sin(theta) where |x - t| < 1e-13 (only there is f'(t) estimated),
+    and the second f(x) sin(theta).  For endpoint-weighted f
     the weight times sin(theta) is rewritten as
     2^(a+b+1) sin(theta/2)^(2a+1) cos(theta/2)^(2b+1), which stays finite for
     all integrable exponents, and the weight, the Clenshaw sum of the series
     and the subtraction run in one flat closure: quad calls it at every node,
     so everything fixed by f and t is computed here.
     """
-    pv = t is not None
     if not isinstance(f, EndpointWeightedFunction):
         # a real f runs in floats, which equals the real part of the complex
         # evaluation
-        real = _is_real(f)
+        real = _runs_real(f)
         if real:
             ft = ft.real
 
         def plain(theta):
             x = math.cos(theta)
             s = math.sin(theta)
-            if not pv:
+            if t is None:
                 return (f(x) if real else complex(f(x))) * s
             dx = x - t
             if -1e-13 < dx < 1e-13:
@@ -222,10 +225,9 @@ def _theta_integrand(f, t=None, ft=0j):
 
     def weighted(theta):
         x = cos(theta)
-        if pv:
-            dx = x - t
-            if -1e-13 < dx < 1e-13:  # abs(dx) < 1e-13, without a call
-                return _derivative(f, t) * sin(theta)
+        dx = x - t
+        if -1e-13 < dx < 1e-13:  # abs(dx) < 1e-13, without a call
+            return _derivative(f, t) * sin(theta)
         h = 0.5 * theta
         sh = sin(h)
         if sh < 1e-300:  # the value of max(sh, 1e-300), without a call
@@ -247,8 +249,6 @@ def _theta_integrand(f, t=None, ft=0j):
         for c in rest:
             b1, b2 = c + two_x * b1 - b2, b1
         value = weight * complex(c0 + (two_x if second_kind else x) * b1 - b2)
-        if not pv:
-            return value
         # numpy's complex division by a real dx multiplies by 1.0 / dx
         return (value - ft * sin(theta)) * (1.0 / dx)
 
@@ -256,14 +256,28 @@ def _theta_integrand(f, t=None, ft=0j):
 
 
 def integrate_unit(f):
-    """int_{-1}^1 f(x) dx via the x = cos(theta) substitution."""
-    real_only = _is_real(f)
+    """int_{-1}^1 f(x) dx.
+
+    For endpoint-weighted f this is sum_k a_k M_k, from the T coefficients a_k
+    of its series and the moments M_k of its weight (_moments), for every
+    Re a, Re b > -1; a sum that overflows raises NoConvergence.  A plain
+    callable takes adaptive quadrature after x = cos(theta).
+    """
+    if isinstance(f, EndpointWeightedFunction):
+        from scipy import special
+
+        tc = f.smooth.to_basis(FIRST_KIND).coeffs
+        a, b = np.array([_plain(f.a), _plain(f.b)])  # numpy scalars overflow to inf
+        with np.errstate(all="ignore"):
+            val = complex(np.dot(tc, _moments(a, b, len(tc), special)[0]))
+        if not cmath.isfinite(val):
+            raise NoConvergence("the moment sum of the integral is not finite")
+        return val.real if f.real_valued else val
+    real_only = _runs_real(f)
     val, err = _quad_complex(_theta_integrand(f), 0.0, math.pi, real_only=real_only)
     if err > QUAD_TOL * max(1.0, abs(val)) * 10.0:
         raise NoConvergence(f"integral error estimate {err:.2e} too large")
-    if real_only:
-        return val.real
-    return val
+    return val.real if real_only else val
 
 
 def _derivative(f, t):
@@ -283,7 +297,7 @@ def fht_pointwise(f, t):
     if not np.all((-1.0 + EPS_EDGE <= ts) & (ts <= 1.0 - EPS_EDGE)):
         raise PointOutsideWindow(
             f"t must lie in [-1+eps_edge, 1-eps_edge] (eps_edge = {EPS_EDGE})")
-    real_only = _is_real(f)
+    real_only = _runs_real(f)
     values = [_pv_at(f, s, real_only) for s in ts.ravel().tolist()]
     if ts.ndim == 0:
         return values[0]
@@ -304,9 +318,7 @@ def _pv_at(f, t, real_only):
     err = (e1 + e2) / math.pi
     if err > QUAD_TOL * max(1.0, abs(result)) * 100.0:
         raise NoConvergence(f"p.v. quadrature error estimate {err:.2e} too large")
-    if real_only:
-        return complex(result.real)
-    return result
+    return complex(result.real) if real_only else result
 
 
 def fht_spectral(f):
@@ -347,8 +359,8 @@ def _plain(c):
     return c.real if c.imag == 0.0 else c
 
 
-def _u_moments(a, b, n, special):
-    """mu_m = int (1-x)^a (1+x)^b U_m(x) dx for m < n.
+def _moments(a, b, n, special):
+    """M_k = int w T_k and mu_k = int w U_k, w = (1-x)^a (1+x)^b, for k < n.
 
     The T moments M_k follow Piessens & Branders (1973),
     (a+b+k+2) M_{k+1} = -2(a-b) M_k - (a+b-k+2) M_{k-1}, from
@@ -363,7 +375,7 @@ def _u_moments(a, b, n, special):
     mu = [m[0], 2.0 * m[1]]
     for k in range(2, n):
         mu.append(mu[k - 2] + 2.0 * m[k])
-    return np.array(mu[:n])
+    return np.array(m[:n]), np.array(mu[:n])
 
 
 def _hypergeometric_part(a, b, y, special):
@@ -416,7 +428,7 @@ def fht_jacobi(f):
     n = len(tc) - 1
     r = np.zeros(max(n, 1), dtype=complex)
     if n:
-        r[:] = np.convolve(tc[:0:-1], _u_moments(a, b, n, special))[n - 1::-1]
+        r[:] = np.convolve(tc[:0:-1], _moments(a, b, n, special)[1])[n - 1::-1]
         r[1:] *= 2.0
     remainder = ChebyshevSeries(r / math.pi, FIRST_KIND)
     cot_a, cot_b = 1.0 / np.tan(math.pi * a), 1.0 / np.tan(math.pi * b)
@@ -472,9 +484,7 @@ def fht_check(g):
 def project_P(f):
     """P(f) = ((1/pi) int f) / w, the projection onto the kernel span{1/w}."""
     c = complex(integrate_unit(f)) / math.pi
-    return EndpointWeightedFunction(
-        -0.5, -0.5, ChebyshevSeries(np.array([c]), FIRST_KIND)
-    )
+    return EndpointWeightedFunction(-0.5, -0.5, ChebyshevSeries(np.array([c]), FIRST_KIND))
 
 
 def project_Q(f):

@@ -286,7 +286,7 @@ def loglog_probe(family_size=10, seed=7):
         beta = rng.uniform(0.2, 0.8)
         amp = rng.uniform(0.5, 2.0)
         f = _smoothed_spike(x0, beta, amp)
-        tf = SampledFunction(tgrid, fht_pointwise(f, tgrid), eps_edge=0.05)
+        tf = SampledFunction(tgrid, fht_pointwise(f, tgrid))
         num = l1_norm(tf)
         den = zygmund_norm(1.0, sample(f, n_grid))
         den_fine = zygmund_norm(1.0, sample(f, 2 * n_grid))

@@ -74,15 +74,6 @@ class ChebyshevSeries:
             return ChebyshevSeries(t_to_u(self.coeffs), SECOND_KIND)
         return ChebyshevSeries(u_to_t(self.coeffs), FIRST_KIND)
 
-    def __add__(self, other):
-        if other.basis != self.basis:
-            other = other.to_basis(self.basis)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = np.zeros(n, dtype=complex)
-        out[: len(self.coeffs)] += self.coeffs
-        out[: len(other.coeffs)] += other.coeffs
-        return ChebyshevSeries(out, self.basis)
-
     def __mul__(self, scalar):
         return ChebyshevSeries(self.coeffs * scalar, self.basis)
 

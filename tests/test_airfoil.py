@@ -11,7 +11,7 @@ from finitehilbert.airfoil import (
     solve_low,
     verify_roundtrip,
 )
-from finitehilbert.engine import integrate_unit
+from finitehilbert.engine import integrate_unit, project_P, project_Q
 from finitehilbert.errors import NotSolvable, UnsupportedExponents
 from finitehilbert.functions import EndpointWeightedFunction, one, sample
 from finitehilbert.series import FIRST_KIND, ChebyshevSeries
@@ -79,6 +79,32 @@ def test_hat_solution_integrates_to_zero():
     val = complex(integrate_unit(solve_low(g, C=0.0)))
     # T_hat output has no T_0/w component, and int T_n/w = 0 for n >= 1
     assert abs(val) < 1e-8
+
+
+def test_series_integrals_make_no_quad_call(monkeypatch):
+    import scipy.integrate
+
+    calls = []
+    real_quad = scipy.integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    series = ChebyshevSeries([1.0, 0.5, -0.25], FIRST_KIND)
+    # real, complex, integer and (0,0) exponents
+    for a, b in ((0.3, -0.4), (0.2 + 0.1j, -0.3), (1.0, 2.0), (0.0, 0.0)):
+        f = EndpointWeightedFunction(a, b, series)
+        for route in (integrate_unit, project_P, project_Q, solvability_residual):
+            route(f)
+    assert calls == []
+    # plain callables and the round trip stay on quadrature
+    integrate_unit(math.exp)
+    assert calls
+    calls.clear()
+    verify_roundtrip(poly(0.0, 1.0), HIGH)
+    assert calls
 
 
 def test_right_hand_side_must_be_series_backed():

@@ -194,6 +194,15 @@ def test_invert_exits_1_when_the_round_trip_fails(capsys, g):
     assert payload["roundtrip_residual"] > finitehilbert.harness.TOLERANCES["roundtrip"]
 
 
+@pytest.mark.parametrize("g", ["chebT:[1e5,3e5,-2e5]", "chebT:[1e8,3e8,-2e8]"])
+def test_invert_low_recovers_the_constant_of_a_large_rhs(capsys, g):
+    # the recovered C is read from the weight's moments: quadrature's absolute
+    # error floor of 1e-9 once made both exit 3
+    code, out, err = run_cli(capsys, "invert", "--g", g, "--regime", "low", "--no-timestamp")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["constant_recovered"] == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("text, solution", [
     ("0.25", "weighted:{-0.5,-0.5,chebT:[0.25,-0.25,0.5,0.25]}"),
     ("-0", "weighted:{-0.5,-0.5,chebT:[0.0,-0.25,0.5,0.25]}"),
@@ -517,6 +526,9 @@ _TOO_LARGE_FOR_QUAD = re.compile(
                  _TOO_LARGE_FOR_QUAD, id="quadrature-weight-overflow"),
     pytest.param(["invert", "--g", "chebT:[1e308,1e308,1e308]", "--regime", "low"],
                  _TOO_LARGE_FOR_QUAD, id="invert"),
+    pytest.param(["invert", "--g", "weighted:{2000,0,chebT:[1]}", "--regime", "high"],
+                 "quadrature failure: the moment sum of the integral is not finite\n",
+                 id="invert-moment-overflow"),
     # a node value of about 1.2e308 once crashed scipy's quad with a bus error
     pytest.param(["transform", "--f", "weighted:{-0.5,1,chebT:[1e308]}", "--points=0"],
                  _TOO_LARGE_FOR_QUAD, id="quadrature-bus-error"),

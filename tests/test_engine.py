@@ -117,6 +117,54 @@ def test_series_routes_reject_plain_callables_and_samples():
                 route(f)
 
 
+def test_quadrature_routes_reject_samples_by_name():
+    samples = sample(np.exp, 20)
+    for route in (lambda f: transform(f)(0.1), lambda f: fht_pointwise(f, 0.1), integrate_unit):
+        with pytest.raises(UnsupportedExponents, match="quadrature needs a callable"):
+            route(samples)
+
+
+_MOMENT_EXPONENTS = [(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5), (0.0, 0.0), (2.0, 0.0),
+                     (0.3, -0.4), (-0.5 + 0.2j, -0.5 - 0.2j), (-0.5 - 0.2j, -0.5 + 0.2j),
+                     (7.5, 6.2), (15.0, 8.0), (30.0, 30.0)]
+
+
+def _mpmath_moments(a, b, n):
+    """M_k = int (1-x)^a (1+x)^b T_k for k < n, by the moment recurrence at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, b = mpmath.mpmathify(a), mpmath.mpmathify(b)
+        m = [2 ** (a + b + 1) * mpmath.beta(a + 1, b + 1)]
+        m.append(m[0] * (b - a) / (a + b + 2))
+        for k in range(1, n - 1):
+            m.append((-2 * (a - b) * m[k] - (a + b - k + 2) * m[k - 1]) / (a + b + k + 2))
+        return [complex(mk) for mk in m[:n]], m
+
+
+@pytest.mark.parametrize("degree", [16, 64])
+@pytest.mark.parametrize("a, b", _MOMENT_EXPONENTS)
+def test_integrate_unit_matches_mpmath_moments(a, b, degree):
+    import mpmath
+
+    coeffs = [1.0 / (k + 1) for k in range(degree + 1)]
+    f = EndpointWeightedFunction(a, b, ChebyshevSeries(coeffs, FIRST_KIND))
+    _, moments = _mpmath_moments(a, b, degree + 1)
+    with mpmath.workdps(40):
+        exact = complex(mpmath.fsum(c * m for c, m in zip(coeffs, moments)))
+    value = integrate_unit(f)
+    assert isinstance(value, float if f.real_valued else complex)
+    assert abs(value - exact) <= 1e-14 * abs(exact)
+
+
+@pytest.mark.parametrize("a, b", [(-0.9, 0.7), (-0.99, -0.99)])
+def test_integrate_unit_of_the_weight_is_the_beta_integral(a, b):
+    # M_0 = 2^(a+b+1) B(a+1, b+1) within an ulp, with exponents near -1
+    exact = _mpmath_moments(a, b, 1)[0][0]
+    value = integrate_unit(EndpointWeightedFunction(a, b, ChebyshevSeries([1.0], FIRST_KIND)))
+    assert abs(value - exact) <= math.ulp(abs(exact))
+
+
 def test_widom_convention_divides_by_i():
     t = 0.3
     assert complex(transform(sqrt_weight(), WIDOM)(t)) == pytest.approx(
@@ -326,11 +374,18 @@ def _eval_times_sin_reference(f, theta):
     lambda x: math.exp(x) * (1.0 - x * x) + 1j * x,
 ], ids=["real-exponents", "complex-exponents", "plain-series", "callable"])
 def test_theta_integrand_is_bit_identical_to_per_call_formula(func):
-    g = _theta_integrand(func)
+    t = 0.3
+    ft = complex(func(t))
+    g = _theta_integrand(func, t, ft)
     thetas = [0.0, 5e-324, 1e-300, 1e-12, 1e-6, 0.3, 1.0, 0.5 * math.pi, 2.0,
-              math.pi - 1e-6, math.pi - 1e-12, math.pi]
+              math.pi - 1e-6, math.pi - 1e-12, math.pi, math.acos(t)]
     for theta in thetas:
-        assert g(theta) == _eval_times_sin_reference(func, theta)
+        dx = math.cos(theta) - t
+        if abs(dx) < 1e-13:
+            reference = _derivative(func, t) * math.sin(theta)
+        else:
+            reference = (_eval_times_sin_reference(func, theta) - ft * math.sin(theta)) / dx
+        assert g(theta) == reference
 
 
 def _times_sin_reference(f):
@@ -412,11 +467,9 @@ def test_flat_theta_integrand_is_bit_identical_to_reference(
         coeffs = coeffs + 1j * rng.standard_normal(degree + 1)
     f = EndpointWeightedFunction(*exponents, ChebyshevSeries(coeffs, basis))
     ft, dft = _pv_terms(f, t)
-    unit, unit_ref = _theta_integrand(f), _times_sin_reference(f)
     pv, pv_ref = _theta_integrand(f, t, ft), _pv_integrand_reference(f, t, ft, dft)
     # theta = acos(t) takes the |x - t| < 1e-13 branch
     for th in _EDGE_THETAS + [math.acos(t), theta]:
-        assert unit(th) == unit_ref(th)
         assert pv(th) == pv_ref(th)
 
 
@@ -450,10 +503,8 @@ def test_flat_theta_integrand_matches_reference_near_exp_overflow(a, b):
     thetas = _EDGE_THETAS + list(np.linspace(0.0, math.pi, 2001)) + [math.acos(t)]
     with np.errstate(all="ignore"):  # the reference's np.exp warns here
         ft, dft = _pv_terms(f, t)
-        unit, unit_ref = _theta_integrand(f), _times_sin_reference(f)
         pv, pv_ref = _theta_integrand(f, t, ft), _pv_integrand_reference(f, t, ft, dft)
         for th in thetas:
-            assert _equal(unit(th), unit_ref(th))
             assert _equal(pv(th), pv_ref(th))
 
 
@@ -532,9 +583,10 @@ def test_quad_complex_is_bit_identical_to_two_pass_reference(case, monkeypatch):
 
 def test_quad_complex_real_only_is_bit_identical_to_reference():
     f = EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([1.0, -2.0, 0.5], FIRST_KIND))
-    g = _theta_integrand(f)
-    assert _quad_complex(g, 0.0, math.pi, real_only=True) == (
-        _quad_complex_reference(g, 0.0, math.pi, real_only=True))
+    t = 0.1
+    g = _theta_integrand(f, t, complex(f(t)))
+    assert _quad_complex(g, 0.0, math.acos(t), real_only=True) == (
+        _quad_complex_reference(g, 0.0, math.acos(t), real_only=True))
 
 
 @pytest.mark.parametrize("unit, real_only", [(1.0, True), (1.0, False), (1j, False)],
