@@ -343,8 +343,7 @@ def _suite_kernel(rng):
 
 def _suite_norms(rng):
     seed = int(rng.integers(0, 2**31 - 1))
-    return [harness.norm_probe(p, family_size=20, seed=seed)
-            for p in (1.2, 1.5, 1.8)]
+    return harness.norm_probe((1.2, 1.5, 1.8), family_size=20, seed=seed)
 
 
 _SUITES = {
@@ -373,10 +372,7 @@ def cmd_identities(args):
 
 
 def cmd_norms(args):
-    reports = [
-        harness.norm_probe(p, family_size=args.family_size, seed=args.seed)
-        for p in args.p
-    ]
+    reports = harness.norm_probe(args.p, family_size=args.family_size, seed=args.seed)
     if args.weighted:
         gamma, delta, p = args.weighted
         reports.append(harness.khvedelidze_probe(gamma, delta, p,

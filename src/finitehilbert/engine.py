@@ -67,13 +67,20 @@ WIDOM = "widom"
 QUAD_TOL = 1e-10
 QUAD_PANELS = 4096
 
-# Degree of every Chebyshev re-interpolation: of sampled input and of the
-# weighted route of fht_hat.
+# The degree cap of sampled input, which is interpolated at this degree and
+# then chopped at its rounding plateau, and the degree of fht_hat's
+# re-interpolation on its weighted route.
 INTERP_DEGREE = 64
 
 
 def sampled_to_weighted(f):
-    """Interpolate a sampled function to a Chebyshev series (exponents (0,0))."""
+    """A sampled function as a Chebyshev series (exponents (0,0)).
+
+    The samples' cubic spline is interpolated at degree INTERP_DEGREE, and the
+    series is chopped where its coefficients reach rounding level
+    (ChebyshevSeries.chopped); a spline that does not get there by the cap
+    keeps all INTERP_DEGREE + 1 coefficients.
+    """
     from scipy.interpolate import CubicSpline
 
     if len(f) < 2:
@@ -89,7 +96,7 @@ def sampled_to_weighted(f):
             # strictly increasing grid, so the one input CubicSpline can still
             # reject is the knot slopes it computed, once they overflow.
             raise NonFiniteSample("the spline's slopes overflow") from exc
-        series = interpolate_chebyshev(spline, INTERP_DEGREE)
+        series = interpolate_chebyshev(spline, INTERP_DEGREE).chopped()
     return EndpointWeightedFunction(0.0, 0.0, series)
 
 
@@ -365,11 +372,16 @@ def _moments(a, b, n, special):
     The T moments M_k follow Piessens & Branders (1973),
     (a+b+k+2) M_{k+1} = -2(a-b) M_k - (a+b-k+2) M_{k-1}, from
     M_0 = 2^(a+b+1) G(a+1) G(b+1) / G(a+b+2) and M_1 = M_0 (b-a)/(a+b+2);
-    then U_m = 2 (T_m + T_{m-2} + ...), with T_0 counted once.
+    then U_m = 2 (T_m + T_{m-2} + ...), with T_0 counted once.  Where that
+    product overflows, as at (100, 100), M_0 is the exponential of its
+    logarithm, from loggamma.
     """
-    m = [2.0 ** (a + b + 1) * special.gamma(a + 1) * special.gamma(b + 1)
-         * special.rgamma(a + b + 2)]
-    m.append(m[0] * (b - a) / (a + b + 2))
+    m0 = (2.0 ** (a + b + 1) * special.gamma(a + 1) * special.gamma(b + 1)
+          * special.rgamma(a + b + 2))
+    if not np.isfinite(m0):
+        m0 = np.exp((a + b + 1) * math.log(2.0) + special.loggamma(a + 1)
+                    + special.loggamma(b + 1) - special.loggamma(a + b + 2))
+    m = [m0, m0 * (b - a) / (a + b + 2)]
     for k in range(1, n - 1):
         m.append((-2.0 * (a - b) * m[k] - (a + b - k + 2) * m[k - 1]) / (a + b + k + 2))
     mu = [m[0], 2.0 * m[1]]

@@ -7,6 +7,7 @@ T_n = (U_n - U_{n-2})/2 and U_n = 2(T_n + T_{n-2} + ...).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,6 +60,44 @@ class ChebyshevSeries:
             return coeffs[0] + x * b1 - b2
         # U_0 = 1, U_1 = 2x
         return coeffs[0] + 2.0 * x * b1 - b2
+
+    def chopped(self):
+        """The series cut where its coefficients reach a plateau at rounding level.
+
+        Aurentz & Trefethen, "Chopping a Chebyshev series" (ACM TOMS 2017),
+        standardChop at tol = machine epsilon: the envelope of |c_k| (the
+        largest coefficient from k on, relative to the first) is scanned for
+        the first j followed by a plateau; the cut then falls where the
+        envelope plus a slope biased to the left is least.  A series of
+        fewer than 17 coefficients, or one without a plateau, is returned
+        unchanged; an all-zero series keeps c_0 alone.
+        """
+        n = len(self.coeffs)
+        if n < 17:
+            return self
+        tol = np.finfo(float).eps
+        envelope = np.maximum.accumulate(np.abs(self.coeffs)[::-1])[::-1]
+        if envelope[0] == 0.0:
+            return ChebyshevSeries(self.coeffs[:1], self.basis)
+        envelope = envelope / envelope[0]
+        # Indices are 0-based: the paper's j and j2 are j + 1 and j2 + 1, and
+        # its round() takes halves up.  A plateau always follows a nonzero
+        # envelope value, so the paper's branch for a zero one is left out.
+        for j in range(1, n):
+            j2 = math.floor(1.25 * (j + 1) + 5.5) - 1
+            if j2 >= n:
+                return self
+            e1, e2 = envelope[j], envelope[j2]
+            if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+                break
+        tiny = tol ** (7.0 / 6.0)
+        j3 = int(np.sum(envelope >= tiny))
+        if j3 <= j2:
+            j2 = j3
+            envelope[j2] = tiny
+        biased = np.log10(envelope[: j2 + 1]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2 + 1)
+        cutoff = max(int(np.argmin(biased)), 1)
+        return ChebyshevSeries(self.coeffs[:cutoff], self.basis)
 
     def trimmed(self):
         """The series without its trailing zero coefficients (c_0 always stays)."""

@@ -379,6 +379,21 @@ def test_csv_spec_input(tmp_path, capsys):
     assert payload["table"][0]["re"] == pytest.approx(2.0 / math.pi, abs=1e-5)
 
 
+@pytest.mark.parametrize("regime", ["high", "low"])
+def test_invert_of_a_cubic_csv_prints_a_short_solution(tmp_path, capsys, regime):
+    from finitehilbert.functions import sample, sampled_to_csv
+
+    # g = T_1 + 0.25 T_2 - 0.5 T_3 has int g/w = 0, so both regimes solve it
+    path = tmp_path / "g.csv"
+    path.write_text(sampled_to_csv(sample(
+        lambda x: np.polynomial.chebyshev.chebval(x, [0.0, 1.0, 0.25, -0.5]), 200)))
+    code, out, err = run_cli(capsys, "invert", "--g", f"csv:{path}", "--regime", regime,
+                             "--no-timestamp")
+    assert (code, err) == (0, "")
+    solution = parse_function_spec(json.loads(out)["solution"]).to_function()
+    assert len(solution.smooth.coeffs) <= 6
+
+
 _CSV_ARGV = ["transform", "--f", "csv:{file}", "--points", "0"]
 
 
@@ -479,6 +494,10 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, file_text):
     pytest.param(["invert", "--g", "chebT:[1]", "--regime", "high"], None,
                  EXIT_NOT_SOLVABLE, "not solvable: residual 1.000000e+00\n",
                  id="not-solvable"),
+    # (1/pi) int (1-x^2)^99.5, from the log-Gamma M_0: the Gamma product overflows
+    pytest.param(["invert", "--g", "weighted:{100,100,chebT:[1]}", "--regime", "high"], None,
+                 EXIT_NOT_SOLVABLE, "not solvable: residual 5.634848e-02\n",
+                 id="not-solvable-large-exponents"),
     pytest.param(["classify", "--space", "lorentz:2,inf"], None,
                  EXIT_DESCRIPTOR, "unsupported descriptor: ", id="unsupported-descriptor"),
 ])

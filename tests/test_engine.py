@@ -45,7 +45,7 @@ from finitehilbert.functions import (
     sample,
     sqrt_weight,
 )
-from finitehilbert.series import FIRST_KIND, SECOND_KIND, ChebyshevSeries
+from finitehilbert.series import FIRST_KIND, SECOND_KIND, ChebyshevSeries, interpolate_chebyshev
 from finitehilbert.spectrum import xi_function
 
 GRID = np.linspace(-0.9, 0.9, 13)
@@ -163,6 +163,21 @@ def test_integrate_unit_of_the_weight_is_the_beta_integral(a, b):
     exact = _mpmath_moments(a, b, 1)[0][0]
     value = integrate_unit(EndpointWeightedFunction(a, b, ChebyshevSeries([1.0], FIRST_KIND)))
     assert abs(value - exact) <= math.ulp(abs(exact))
+
+
+@pytest.mark.parametrize("a, b", [(100.0, 100.0), (170.0, 0.0), (150.0 + 3.0j, 120.0 - 2.0j)])
+def test_integrate_unit_of_large_exponents_matches_mpmath(a, b):
+    # the Gamma product of M_0 overflows here, though the integral is finite;
+    # M_0 then comes from loggamma, whose exp carries the rounding of a
+    # logarithm of several hundred as relative error
+    coeffs = [1.0 / (k + 1) for k in range(17)]
+    _, moments = _mpmath_moments(a, b, len(coeffs))
+    import mpmath
+
+    with mpmath.workdps(40):
+        exact = complex(mpmath.fsum(c * m for c, m in zip(coeffs, moments)))
+    value = integrate_unit(EndpointWeightedFunction(a, b, ChebyshevSeries(coeffs, FIRST_KIND)))
+    assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
 def test_widom_convention_divides_by_i():
@@ -863,3 +878,48 @@ def test_jacobi_transform_calls_no_quadrature(quad_calls):
         transform(EndpointWeightedFunction(a, b, ChebyshevSeries([1.0, 2.0])))(ts)
     weighted_transform(0.2, -0.3, one(), ts, p=1.5)
     assert quad_calls[0] == 0
+
+
+def _samples(f, n):
+    x = np.linspace(-0.999, 0.999, n)
+    return SampledFunction(x, f(x))
+
+
+@pytest.mark.parametrize("degree, n, tol", [(3, 50, 1e-13), (3, 400, 1e-13), (4, 2000, 1e-11)])
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+def test_sampled_polynomials_chop_to_their_degree(degree, n, tol, complex_coeffs):
+    # a cubic spline reproduces cubic data, so the series keeps its 4
+    # coefficients and transforms as the cubic does; a quartic's spline errs
+    # by 7e-13 inside the samples and 2e-10 beyond them on 2000 points, a
+    # floor of its own that puts the transform 3e-12 from the quartic's
+    rng = np.random.default_rng(degree * n)
+    tc = rng.standard_normal(degree + 1)
+    if complex_coeffs:
+        tc = tc + 1j * rng.standard_normal(degree + 1)
+    f = sampled_to_weighted(_samples(lambda x: np.polynomial.chebyshev.chebval(x, tc), n))
+    assert len(f.smooth.coeffs) <= degree + 1
+    for t in np.linspace(-0.95, 0.95, 9):
+        ref = _synthetic_division_transform(tc, float(t))
+        assert abs(transform(f)(float(t)) - ref) <= tol * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_sampled_exp_chops_below_the_cap(n):
+    assert len(sampled_to_weighted(_samples(np.exp, n)).smooth.coeffs) < 20
+
+
+@pytest.mark.parametrize("f", [lambda x: np.sqrt(1.0 - x * x), lambda x: np.sin(10.0 * x)],
+                         ids=["sqrt", "sin10x"])
+def test_unresolved_samples_keep_the_full_interpolant(f):
+    from scipy.interpolate import CubicSpline
+
+    samples = _samples(f, 400)
+    full = interpolate_chebyshev(CubicSpline(samples.points, samples.values),
+                                 engine.INTERP_DEGREE)
+    series = sampled_to_weighted(samples).smooth
+    assert len(series.coeffs) == engine.INTERP_DEGREE + 1
+    assert series.coeffs.tobytes() == full.coeffs.tobytes()
+
+
+def test_zero_samples_give_one_coefficient():
+    assert sampled_to_weighted(_samples(np.zeros_like, 100)).smooth.coeffs.tolist() == [0.0]

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finitehilbert.errors import NonFiniteSample
@@ -169,3 +171,83 @@ def test_trimmed_drops_trailing_exact_zeros():
     # only exact zeros go, and c_0 always stays
     assert ChebyshevSeries([1.0, 0.5, 1e-300], FIRST_KIND).trimmed().degree == 2
     assert ChebyshevSeries([0.0, 0.0], FIRST_KIND).trimmed().coeffs.tolist() == [0.0]
+
+
+def _standard_chop(coeffs, tol):
+    """Reference: Aurentz & Trefethen's standardChop as published, in 1-based indices.
+
+    Returns the number of coefficients kept.  MATLAB's round takes halves up.
+    """
+    n = len(coeffs)
+    if n < 17:
+        return n
+    b = np.abs(coeffs)
+    m = np.empty(n + 1)  # m[1..n]; m[0] is unused
+    m[n] = b[n - 1]
+    for j in range(n - 1, 0, -1):
+        m[j] = max(b[j - 1], m[j + 1])
+    if m[1] == 0.0:
+        return 1
+    envelope = m / m[1]
+    for j in range(2, n + 1):
+        j2 = math.floor(1.25 * j + 5 + 0.5)
+        if j2 > n:
+            return n
+        e1, e2 = envelope[j], envelope[j2]
+        r = 3.0 * (1.0 - math.log(e1) / math.log(tol)) if e1 > 0.0 else 0.0
+        if e1 == 0.0 or e2 / e1 > r:
+            plateau_point = j - 1
+            break
+    if envelope[plateau_point] == 0.0:
+        return plateau_point
+    j3 = int(np.sum(envelope[1:] >= tol ** (7.0 / 6.0)))
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2] = tol ** (7.0 / 6.0)
+    cc = np.log10(envelope[1:j2 + 1]) + np.linspace(0.0, (-1.0 / 3.0) * math.log10(tol), j2)
+    d = int(np.argmin(cc)) + 1
+    return max(d - 1, 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 100),
+    decay=st.floats(0.3, 0.99),
+    level=st.floats(-20.0, -8.0),
+    zeros=st.integers(0, 20),
+    complex_coeffs=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the count of envelope values above tol^(7/6) equals the 0-based j2 here,
+# the edge of the paper's j3 < j2 test
+@example(n=72, decay=0.51, level=-18.0, zeros=1, complex_coeffs=False, seed=2830)
+def test_chopped_matches_standard_chop(n, decay, level, zeros, complex_coeffs, seed):
+    # geometric decay down to a noise plateau at 10^level, then exact zeros
+    rng = np.random.default_rng(seed)
+    coeffs = decay ** np.arange(n) * rng.standard_normal(n)
+    coeffs += 10.0**level * rng.standard_normal(n)
+    if complex_coeffs:
+        coeffs = coeffs + 1j * decay ** np.arange(n) * rng.standard_normal(n)
+    coeffs = np.concatenate([coeffs, np.zeros(zeros)])
+    s = ChebyshevSeries(coeffs, SECOND_KIND)
+    chopped = s.chopped()
+    keep = _standard_chop(s.coeffs, np.finfo(float).eps)
+    assert chopped.basis == SECOND_KIND
+    assert np.array_equal(chopped.coeffs, s.coeffs[:keep])
+
+
+def test_chopped_keeps_short_and_unresolved_series():
+    rng = np.random.default_rng(2)
+    short = ChebyshevSeries(np.concatenate([[1.0], np.zeros(15)]))
+    assert short.chopped() is short
+    # 1/k^2 decay never reaches rounding level within 65 coefficients
+    slow = ChebyshevSeries(rng.standard_normal(65) / np.arange(1, 66) ** 2)
+    assert slow.chopped() is slow
+
+
+def test_chopped_cuts_a_rounding_plateau():
+    rng = np.random.default_rng(4)
+    coeffs = np.concatenate([[1.0, -0.5, 0.25, 0.125], 1e-17 * rng.standard_normal(61)])
+    assert ChebyshevSeries(coeffs).chopped().coeffs.tolist() == coeffs[:4].tolist()
+    # an all-zero series keeps c_0 alone
+    assert ChebyshevSeries(np.zeros(65)).chopped().coeffs.tolist() == [0.0]
