@@ -233,6 +233,14 @@ def test_norm_probe_bound_and_determinism():
         norm_probe(2.5)
 
 
+def test_norm_probe_of_several_p_equals_one_call_per_p():
+    ps = (1.2, 1.5, 1.8)
+    reports = norm_probe(ps, family_size=5, seed=9)
+    assert reports == [norm_probe(p, family_size=5, seed=9) for p in ps]
+    with pytest.raises(ValueError):
+        norm_probe((1.5, 2.5))
+
+
 def test_loglog_probe_finite_and_stable():
     r = loglog_probe(family_size=3, seed=7)
     assert r.passed
