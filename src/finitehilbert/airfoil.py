@@ -2,7 +2,9 @@
 
 Low regime (kernel present): every solution is -(1/w) T(g w) + C/w with C
 arbitrary.  High regime: a unique solution -w T(g/w) exists precisely when
-int g/w vanishes.
+int g/w vanishes.  Both particular solutions are the engine's one
+pseudo-inverse rule, so both regimes take every series-backed g; any other
+g raises UnsupportedExponents there.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import fht_check, fht_hat, fht_pointwise, project_P, project_Q
-from .errors import NotSolvable, UnsupportedExponents
+from .errors import NotSolvable
 from .functions import EndpointWeightedFunction
 from .series import ChebyshevSeries
 
@@ -29,15 +31,9 @@ class RoundTripReport:
     max_rhs: float  # max |g| on the round-trip grid, the residual's scale
 
 
-def _prepare_rhs(g):
-    if not isinstance(g, EndpointWeightedFunction):
-        raise UnsupportedExponents("right-hand side must be series-backed")
-    return g
-
-
 def solve_low(g, C=0.0):
     """The solution -(1/w)T(gw) + C/w of T(f) = g in the small-index regime."""
-    particular = fht_hat(_prepare_rhs(g))
+    particular = fht_hat(g)
     C = complex(C)
     if not C:
         return particular
@@ -51,12 +47,11 @@ def solve_low(g, C=0.0):
 
 def solvability_residual(g):
     """|Qg| = |(1/pi) int g/w|; zero iff g lies in the range of T in the high regime."""
-    return abs(complex(project_Q(_prepare_rhs(g)).smooth.coeffs[0]))
+    return abs(complex(project_Q(g).smooth.coeffs[0]))
 
 
 def solve_high(g):
-    """The unique solution f = -w T(g/w); requires int g/w = 0."""
-    g = _prepare_rhs(g)
+    """The unique solution f = -w T(g/w) for any series-backed g; requires int g/w = 0."""
     residual = solvability_residual(g)
     if residual > SOLVABILITY_TOL:
         raise NotSolvable(residual)
@@ -70,7 +65,6 @@ def verify_roundtrip(g, regime, C=0.0):
     the spectral rules that produced the solution, so the two routes check each
     other.  In the low regime the recovered C is the coefficient of P f = C/w.
     """
-    g = _prepare_rhs(g)
     if regime == LOW:
         f = solve_low(g, C=C)
     elif regime == HIGH:

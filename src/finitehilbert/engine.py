@@ -68,8 +68,8 @@ QUAD_TOL = 1e-10
 QUAD_PANELS = 4096
 
 # The degree cap of sampled input, which is interpolated at this degree and
-# then chopped at its rounding plateau, and the degree of fht_hat's
-# re-interpolation on its weighted route.
+# then chopped at its rounding plateau, and the degree of the pseudo-inverses'
+# re-interpolation on their weighted route.
 INTERP_DEGREE = 64
 
 
@@ -465,32 +465,33 @@ def fht_jacobi(f):
     return image
 
 
-def fht_hat(g):
-    """The pseudo-inverse -(1/w) T(g w).
+def _pseudo_inverse(g, s):
+    """-w^(-2s) T(g w^(2s)): fht_hat at s = 1/2, fht_check at s = -1/2.
 
-    For a plain series input (exponents (0,0)) the spectral rule
-    sum b_n U_n -> (1/w) sum b_n T_{n+1} is exact; other inputs go through
-    transform and re-interpolation.
+    For a plain series g (exponents (0,0)) the spectral rule is exact: g is
+    converted to U (s = 1/2) or T (s = -1/2) and negated there, so zero
+    coefficients keep their sign.  Any other series-backed g goes through
+    transform of g w^(2s), re-interpolated at INTERP_DEGREE.
     """
     if not isinstance(g, EndpointWeightedFunction):
-        raise UnsupportedExponents("fht_hat needs a series-backed function")
+        raise UnsupportedExponents("the pseudo-inverse needs a series-backed function")
     if g.a == 0.0 and g.b == 0.0:
-        # negated after the U conversion, so zero coefficients keep their sign
-        uc = g.smooth.to_basis(SECOND_KIND).coeffs
-        gw = EndpointWeightedFunction(0.5, 0.5, ChebyshevSeries(-uc, SECOND_KIND))
-        return EndpointWeightedFunction(-0.5, -0.5, fht_spectral(gw).smooth)
-    gw = g.shifted_exponents(0.5, 0.5)
-    tgw = interpolate_chebyshev(transform(gw), INTERP_DEGREE)
-    return EndpointWeightedFunction(-0.5, -0.5, tgw * (-1.0))
+        basis = SECOND_KIND if s > 0 else FIRST_KIND
+        inner = ChebyshevSeries(-g.smooth.to_basis(basis).coeffs, basis)
+        return EndpointWeightedFunction(
+            -s, -s, fht_spectral(EndpointWeightedFunction(s, s, inner)).smooth)
+    image = interpolate_chebyshev(transform(g.shifted_exponents(s, s)), INTERP_DEGREE)
+    return EndpointWeightedFunction(-s, -s, image * (-1.0))
+
+
+def fht_hat(g):
+    """The low regime's -(1/w) T(g w) of series-backed g; plain U_n -> (1/w) T_{n+1}."""
+    return _pseudo_inverse(g, 0.5)
 
 
 def fht_check(g):
-    """The pseudo-inverse -w T(g/w); spectral rule sum a_n T_n -> -w sum_{n>=1} a_n U_{n-1}."""
-    if not (isinstance(g, EndpointWeightedFunction) and g.a == 0.0 and g.b == 0.0):
-        raise UnsupportedExponents("fht_check needs a plain (0,0) series input")
-    tc = g.smooth.to_basis(FIRST_KIND).coeffs
-    g_over_w = EndpointWeightedFunction(-0.5, -0.5, ChebyshevSeries(-tc, FIRST_KIND))
-    return EndpointWeightedFunction(0.5, 0.5, fht_spectral(g_over_w).smooth)
+    """The high regime's -w T(g/w) of series-backed g; plain T_n -> -w U_{n-1}, T_0 -> 0."""
+    return _pseudo_inverse(g, -0.5)
 
 
 def project_P(f):

@@ -194,6 +194,22 @@ def test_invert_exits_1_when_the_round_trip_fails(capsys, g):
     assert payload["roundtrip_residual"] > finitehilbert.harness.TOLERANCES["roundtrip"]
 
 
+@pytest.mark.parametrize("g, code", [
+    ("weighted:{1,1,chebT:[0,1]}", 0),  # the solution is w T_2 / 2, a w U-series
+    ("weighted:{4.5,4.5,chebT:[0,1]}", 0),  # g/w has integer exponents: quadrature
+    ("weighted:{0.3,0.3,chebT:[0,1]}", 1),  # T(g/w) re-interpolated at degree 64
+])
+def test_invert_high_takes_a_weighted_rhs(capsys, g, code):
+    # the high regime runs the low regime's pseudo-inverse rule with the weight's
+    # exponent flipped, so it takes every g the low regime takes, under the same gate
+    got, out, err = run_cli(capsys, "invert", "--g", g, "--regime", "high", "--no-timestamp")
+    payload = json.loads(out)
+    assert (got, err) == (code, "")
+    assert payload["solution"].startswith("weighted:{0.5,0.5,")
+    gate = finitehilbert.harness.TOLERANCES["roundtrip"]
+    assert (payload["roundtrip_residual"] > gate) == (code == 1)
+
+
 @pytest.mark.parametrize("g", ["chebT:[1e5,3e5,-2e5]", "chebT:[1e8,3e8,-2e8]"])
 def test_invert_low_recovers_the_constant_of_a_large_rhs(capsys, g):
     # the recovered C is read from the weight's moments: quadrature's absolute
@@ -645,11 +661,14 @@ print(json.dumps([after_package, after_cli, runs]))
 """
 
 
-def test_cold_start_loads_scipy_only_on_first_use(capsys):
+def test_cold_start_loads_scipy_only_on_first_use(tmp_path, capsys):
     """Imports and the polynomial and spectral commands run on numpy alone.
 
-    A Jacobi weight loads scipy.special and no quadrature; scipy.integrate
-    loads only once an exponent on an integer sends a transform to quadrature.
+    A Jacobi weight loads scipy.special and no quadrature, and so do an
+    unsolvable high-regime invert (Qg from the moments, exit 4, no round trip)
+    and a cubic CSV (chopped to its 4 coefficients, then the closed form);
+    scipy.integrate loads only once an exponent on an integer sends a
+    transform to quadrature.
     """
     numpy_only = [
         ["classify", "--space", "lebesgue:1.5", "--lambda", "0,0", "--no-timestamp"],
@@ -658,11 +677,18 @@ def test_cold_start_loads_scipy_only_on_first_use(capsys):
          "--no-timestamp"],
         ["transform", "--f", "poly:[0,1]", "--grid", "0"],  # usage error, exit 2
     ]
-    jacobi = ["transform", "--f", "weighted:{0.3,-0.4,chebT:[1,2]}", "--points", "0.1",
-              "--no-timestamp"]
+    cubic = tmp_path / "cubic.csv"
+    xs = [k / 50 - 0.99 for k in range(100)]
+    cubic.write_text("x,re,im\n" + "".join(f"{x!r},{x**3 - 0.5 * x!r},0.0\n" for x in xs))
+    no_quadrature = [
+        ["transform", "--f", "weighted:{0.3,-0.4,chebT:[1,2]}", "--points", "0.1",
+         "--no-timestamp"],
+        ["invert", "--g", "chebT:[1]", "--regime", "high"],
+        ["transform", "--f", f"csv:{cubic}", "--points", "0.5", "--no-timestamp"],
+    ]
     quadrature = ["transform", "--f", "weighted:{0,-0.4,chebT:[1,2]}", "--points", "0.1",
                   "--no-timestamp"]
-    argvs = [*numpy_only, jacobi, quadrature]
+    argvs = [*numpy_only, *no_quadrature, quadrature]
     src = os.path.dirname(os.path.dirname(finitehilbert.__file__))
     proc = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT, json.dumps(argvs)],
                           env={**os.environ, "PYTHONPATH": src},
@@ -672,7 +698,8 @@ def test_cold_start_loads_scipy_only_on_first_use(capsys):
     assert after_cli == []
     assert [loaded for *_, loaded in runs[:len(numpy_only)]] == [[]] * len(numpy_only)
     assert runs[len(numpy_only) - 1][0] == EXIT_PARSE
-    assert "scipy.special" in runs[-2][3]
+    assert [code for code, *_ in runs[len(numpy_only):-1]] == [0, EXIT_NOT_SOLVABLE, 0]
+    assert "scipy.special" in runs[len(numpy_only)][3]
     assert "scipy.integrate" not in runs[-2][3]
     assert "scipy.integrate" in runs[-1][3]
     in_process = []

@@ -101,11 +101,11 @@ def test_spectral_rules_take_their_exponents_exactly():
     for a in (-0.5 + 1e-13, 0.5 - 1e-13):
         with pytest.raises(UnsupportedExponents):
             fht_spectral(EndpointWeightedFunction(a, a, series))
-    with pytest.raises(UnsupportedExponents):
-        fht_check(EndpointWeightedFunction(1e-13, 0.0, series))
-    # 1e-13 off (0,0), fht_hat re-interpolates T(g w) instead of the U shift
+    # 1e-13 off (0,0), fht_hat and fht_check re-interpolate T(g w) and T(g/w)
+    # instead of the U and T shifts
     near = EndpointWeightedFunction(1e-13, 0.0, series)
     assert fht_hat(near).smooth.degree == engine.INTERP_DEGREE
+    assert fht_check(near).smooth.degree == engine.INTERP_DEGREE
 
 
 def test_series_routes_reject_plain_callables_and_samples():
@@ -306,6 +306,64 @@ def test_check_spectral_shift():
     h = fht_check(g)
     assert h.a == 0.5 and h.b == 0.5
     assert np.allclose(h.smooth.coeffs, [0.0, -1.0])
+
+
+# The two bodies that fht_hat and fht_check had before they became one rule,
+# kept verbatim: the rule must give their outputs bit for bit.
+def _fht_hat_reference(g):
+    if not isinstance(g, EndpointWeightedFunction):
+        raise UnsupportedExponents("fht_hat needs a series-backed function")
+    if g.a == 0.0 and g.b == 0.0:
+        # negated after the U conversion, so zero coefficients keep their sign
+        uc = g.smooth.to_basis(SECOND_KIND).coeffs
+        gw = EndpointWeightedFunction(0.5, 0.5, ChebyshevSeries(-uc, SECOND_KIND))
+        return EndpointWeightedFunction(-0.5, -0.5, fht_spectral(gw).smooth)
+    gw = g.shifted_exponents(0.5, 0.5)
+    tgw = interpolate_chebyshev(transform(gw), engine.INTERP_DEGREE)
+    return EndpointWeightedFunction(-0.5, -0.5, tgw * (-1.0))
+
+
+def _fht_check_reference(g):
+    if not (isinstance(g, EndpointWeightedFunction) and g.a == 0.0 and g.b == 0.0):
+        raise UnsupportedExponents("fht_check needs a plain (0,0) series input")
+    tc = g.smooth.to_basis(FIRST_KIND).coeffs
+    g_over_w = EndpointWeightedFunction(-0.5, -0.5, ChebyshevSeries(-tc, FIRST_KIND))
+    return EndpointWeightedFunction(0.5, 0.5, fht_spectral(g_over_w).smooth)
+
+
+def _same_bits(f, g):
+    """Equal exponents, basis, dtype and coefficient bytes (signed zeros included)."""
+    return ((complex(f.a), complex(f.b), f.smooth.basis, f.smooth.coeffs.dtype)
+            == (complex(g.a), complex(g.b), g.smooth.basis, g.smooth.coeffs.dtype)
+            and f.smooth.coeffs.tobytes() == g.smooth.coeffs.tobytes())
+
+
+def _plain_series_cases():
+    rng = np.random.default_rng(29)
+    long = rng.standard_normal(61)
+    for coeffs in ([0.5], [-0.0], long, long + 1j * rng.standard_normal(61),
+                   [1.0 + 2.0j], [0.0, 1.0, 0.0, 1.0], [1.0, -0.0, 0.25, 0.0]):
+        for basis in (FIRST_KIND, SECOND_KIND):
+            yield ChebyshevSeries(coeffs, basis)
+
+
+@pytest.mark.parametrize("series", list(_plain_series_cases()))
+def test_pseudo_inverses_of_plain_series_keep_their_bits(series):
+    # degree 0 and 60, real and complex, T and U; T_1 + T_3 is U_3 / 2, its
+    # U_1 coefficient cancels exactly, and the signs of the zeros show whether
+    # g is negated before or after the spectral rule
+    g = EndpointWeightedFunction(0.0, 0.0, series)
+    assert _same_bits(fht_hat(g), _fht_hat_reference(g))
+    assert _same_bits(fht_check(g), _fht_check_reference(g))
+
+
+@pytest.mark.parametrize("a, b", [(0.3, -0.4), (4.5, 3.5), (1.0, 1.0)])
+@pytest.mark.parametrize("coeffs", [[1.0, 2.0], [0.5, -0.25j, 1.0]])
+def test_low_regime_pseudo_inverse_of_weighted_g_keeps_its_bits(a, b, coeffs):
+    # transform takes the Jacobi closed form at (0.3, -0.4) and (1, 1) and
+    # quadrature at (4.5, 3.5), where g w has integer exponents
+    g = EndpointWeightedFunction(a, b, ChebyshevSeries(coeffs, FIRST_KIND))
+    assert _same_bits(fht_hat(g), _fht_hat_reference(g))
 
 
 def test_projections():

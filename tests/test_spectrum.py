@@ -12,6 +12,7 @@ from finitehilbert.errors import (
     OutsideEigenvalueSet,
     UnsupportedDescriptor,
 )
+from finitehilbert.harness import TOLERANCES
 from finitehilbert.spectrum import (
     SpaceDescriptor,
     classify_point,
@@ -117,6 +118,16 @@ def test_eigen_relation_at_zero():
 
 def test_eigen_relation_complex():
     assert eigen_residual(0.2 + 0.3j, grid=np.linspace(-0.8, 0.8, 8)) < 1e-5
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "p.v. quadrature misses at t = 0.18: on its (phi, pi) half quad accepts a real part "
+    "off by 2.5e-4 against mpmath with an error estimate of 1.4e-12, so the residual is "
+    "4.06e-05 against 1e-5; 1 of 1,800 eigencheck ops over decks 0-299 of the quadrature "
+    "workload, seed 10 (deck 217)"))
+def test_eigen_relation_at_a_lambda_where_quadrature_misses():
+    lam = 0.6307 + 0.5262j
+    assert eigen_residual(lam, grid=np.linspace(-0.9, 0.9, 11)) < TOLERANCES["eigen_complex"]
 
 
 def test_lebesgue_classification_rows():
