@@ -142,23 +142,23 @@ def _beyond_bound(value):
     return value
 
 
-def _quad_complex(g, a, b, real_only=False):
-    """Integrate the real part, then the imaginary part, in two quad passes.
+def _integrate(g, a, b, real):
+    """int_a^b g by quad, as (value, err) in g's number type.
 
-    The passes stay separate, so each sees the node set and the values it
-    would see on its own.  A complex g still runs once per distinct node:
-    the real pass keeps g(s), and the imaginary pass reads .imag from it,
-    calling g only at nodes the real pass did not visit.  Each pass checks
-    its node values against _MAX_NODE_VALUE.
+    A real g returns floats and takes one quad pass.  A complex g takes two,
+    real part then imaginary part; they stay separate, so each sees the node
+    set and the values it would see on its own.  It still runs once per
+    distinct node: the real pass keeps g(s), and the imaginary pass reads
+    .imag from it, calling g only at nodes the real pass did not visit.
+    Each pass checks its node values against _MAX_NODE_VALUE.
     """
     big = _MAX_NODE_VALUE
-    if real_only:
-        def real_of_real(s):
-            value = g(s).real
+    if real:
+        def guarded(s):
+            value = g(s)
             return value if -big < value < big else _beyond_bound(value)
 
-        re, err_re = _quad(real_of_real, a, b)
-        return complex(re), err_re
+        return _quad(guarded, a, b)
     seen = {}
 
     def real_part(s):
@@ -178,18 +178,6 @@ def _quad_complex(g, a, b, real_only=False):
     return complex(re, im), err_re + err_im
 
 
-def _numpy_exp(z):
-    """np.exp(z) as a Python complex, without numpy's overflow warnings.
-
-    cmath.exp returns the same bits as np.exp wherever Re z < 708 and Im z is
-    finite, and costs less per call.  Elsewhere it rounds differently (its
-    branch for Re z above log(DBL_MAX) - 1) or raises, so the theta-integrand
-    takes np.exp there; a non-finite result then fails in _quad.
-    """
-    with np.errstate(all="ignore"):
-        return complex(np.exp(z))
-
-
 def _theta_integrand(f, t=None, ft=0j):
     """The integrand of the p.v. quadrature at t, or (plain f, t None) of integrate_unit.
 
@@ -201,40 +189,47 @@ def _theta_integrand(f, t=None, ft=0j):
     all integrable exponents, and the weight, the Clenshaw sum of the series
     and the subtraction run in one flat closure: quad calls it at every node,
     so everything fixed by f and t is computed here.
-    """
-    if not isinstance(f, EndpointWeightedFunction):
-        # a real f runs in floats, which equals the real part of the complex
-        # evaluation
-        real = _runs_real(f)
-        if real:
-            ft = ft.real
 
+    The closure runs in f's own number type: a real f (_runs_real) in floats,
+    any other f in complex numbers.  The floats equal the real parts of the
+    complex evaluation wherever the log-weight stays below about 708, past
+    which cmath.exp rounds through a scaled exponential.  A weight that
+    overflows, or whose log has an infinite imaginary part, raises
+    NoConvergence.
+    """
+    real = _runs_real(f)
+    num, exp = (float, math.exp) if real else (complex, cmath.exp)
+    if real:
+        ft = ft.real
+    if not isinstance(f, EndpointWeightedFunction):
         def plain(theta):
             x = math.cos(theta)
             s = math.sin(theta)
             if t is None:
-                return (f(x) if real else complex(f(x))) * s
+                return num(f(x)) * s
             dx = x - t
             if -1e-13 < dx < 1e-13:
-                return _derivative(f, t) * s
-            return ((f(x) if real else complex(f(x))) * s - ft * s) / dx
+                return _derivative(f, t, num) * s
+            return (num(f(x)) * s - ft * s) / dx
 
         return plain
 
     a, b = complex(f.a), complex(f.b)
+    if real:
+        a, b = a.real, b.real
     log_two = (a + b + 1.0) * math.log(2.0)
     sin_power, cos_power = 2.0 * a + 1.0, 2.0 * b + 1.0
     coeffs = f.smooth._coeff_list
     c0, rest = coeffs[0], coeffs[:0:-1]
     second_kind = f.smooth.basis == SECOND_KIND
     # closure cells, read faster than module attributes at every node
-    cos, sin, log, exp = math.cos, math.sin, math.log, cmath.exp
+    cos, sin, log = math.cos, math.sin, math.log
 
     def weighted(theta):
         x = cos(theta)
         dx = x - t
         if -1e-13 < dx < 1e-13:  # abs(dx) < 1e-13, without a call
-            return _derivative(f, t) * sin(theta)
+            return _derivative(f, t, num) * sin(theta)
         h = 0.5 * theta
         sh = sin(h)
         if sh < 1e-300:  # the value of max(sh, 1e-300), without a call
@@ -243,19 +238,17 @@ def _theta_integrand(f, t=None, ft=0j):
         if ch < 1e-300:
             ch = 1e-300
         log_factor = log_two + sin_power * log(sh) + cos_power * log(ch)
-        if log_factor.real < 708.0:  # where cmath.exp equals np.exp, see _numpy_exp
-            try:
-                weight = exp(log_factor)
-            except ValueError:  # an infinite imaginary part
-                weight = _numpy_exp(log_factor)
-        else:
-            weight = _numpy_exp(log_factor)
+        try:
+            weight = exp(log_factor)
+        except (OverflowError, ValueError):
+            raise NoConvergence(
+                f"the quadrature weight exp({log_factor:.6g}) is not finite") from None
         # ChebyshevSeries.__call__, with 2.0 * x * b1 grouped as (2.0 * x) * b1 as there
         two_x = 2.0 * x
         b1 = b2 = 0.0
         for c in rest:
             b1, b2 = c + two_x * b1 - b2, b1
-        value = weight * complex(c0 + (two_x if second_kind else x) * b1 - b2)
+        value = weight * num(c0 + (two_x if second_kind else x) * b1 - b2)
         # numpy's complex division by a real dx multiplies by 1.0 / dx
         return (value - ft * sin(theta)) * (1.0 / dx)
 
@@ -280,17 +273,16 @@ def integrate_unit(f):
         if not cmath.isfinite(val):
             raise NoConvergence("the moment sum of the integral is not finite")
         return val.real if f.real_valued else val
-    real_only = _runs_real(f)
-    val, err = _quad_complex(_theta_integrand(f), 0.0, math.pi, real_only=real_only)
+    val, err = _integrate(_theta_integrand(f), 0.0, math.pi, _runs_real(f))
     if err > QUAD_TOL * max(1.0, abs(val)) * 10.0:
         raise NoConvergence(f"integral error estimate {err:.2e} too large")
-    return val.real if real_only else val
+    return val
 
 
-def _derivative(f, t):
-    """Central-difference f'(t), with a step that stays inside (-1, 1)."""
+def _derivative(f, t, num=complex):
+    """Central-difference f'(t) in the number type num, with a step inside (-1, 1)."""
     h = min(1e-6, 0.25 * (1.0 - abs(t)))
-    return (complex(f(t + h)) - complex(f(t - h))) / (2.0 * h)
+    return (num(f(t + h)) - num(f(t - h))) / (2.0 * h)
 
 
 def fht_pointwise(f, t):
@@ -304,28 +296,30 @@ def fht_pointwise(f, t):
     if not np.all((-1.0 + EPS_EDGE <= ts) & (ts <= 1.0 - EPS_EDGE)):
         raise PointOutsideWindow(
             f"t must lie in [-1+eps_edge, 1-eps_edge] (eps_edge = {EPS_EDGE})")
-    real_only = _runs_real(f)
-    values = [_pv_at(f, s, real_only) for s in ts.ravel().tolist()]
+    real = _runs_real(f)
+    values = [_pv_at(f, s, real) for s in ts.ravel().tolist()]
     if ts.ndim == 0:
-        return values[0]
+        return complex(values[0])
     return np.array(values, dtype=complex).reshape(ts.shape)
 
 
-def _pv_at(f, t, real_only):
-    """The p.v. quadrature of fht_pointwise at one point t."""
+def _pv_at(f, t, real):
+    """The p.v. quadrature of fht_pointwise at one point t, in floats for a real f."""
     ft = complex(f(t))
     if not np.isfinite(ft):
         raise SingularEvaluation(f"f is not finite at t={t}")
+    if real:
+        ft = ft.real
     phi = math.acos(t)
     g = _theta_integrand(f, t, ft)
-    v1, e1 = _quad_complex(g, 0.0, phi, real_only=real_only)
-    v2, e2 = _quad_complex(g, phi, math.pi, real_only=real_only)
+    v1, e1 = _integrate(g, 0.0, phi, real)
+    v2, e2 = _integrate(g, phi, math.pi, real)
     log_term = ft * math.log((1.0 - t) / (1.0 + t))
     result = (v1 + v2 + log_term) / math.pi
     err = (e1 + e2) / math.pi
     if err > QUAD_TOL * max(1.0, abs(result)) * 100.0:
         raise NoConvergence(f"p.v. quadrature error estimate {err:.2e} too large")
-    return complex(result.real) if real_only else result
+    return result
 
 
 def fht_spectral(f):

@@ -225,7 +225,8 @@ def _grid_lp(vals, p):
     return float(np.sum(np.abs(vals) ** p * sinw) ** (1.0 / p))
 
 
-def _random_cheb_family(rng, size, degree):
+def random_cheb_family(rng, size, degree):
+    """size T-series of the given degree, their coefficients standard normal draws of rng."""
     for _ in range(size):
         coeffs = rng.standard_normal(degree + 1)
         yield ChebyshevSeries(coeffs.astype(complex), FIRST_KIND)
@@ -247,7 +248,7 @@ def norm_probe(p, family_size=50, seed=0):
     rng = np.random.default_rng(seed)
     xgrid, _ = _gauss_grid()
     ratios = [[] for _ in ps]
-    for series in _random_cheb_family(rng, family_size, 10):
+    for series in random_cheb_family(rng, family_size, 10):
         fv = series(xgrid)
         tv = transform(EndpointWeightedFunction(0.0, 0.0, series))(xgrid)
         for q, column in zip(ps, ratios):
@@ -319,7 +320,7 @@ def khvedelidze_probe(gamma, delta, p, family_size=20, seed=0):
     dt = tgrid[1] - tgrid[0]
     xgrid, _ = _gauss_grid()
     ratios = []
-    for series in _random_cheb_family(rng, family_size, 8):
+    for series in random_cheb_family(rng, family_size, 8):
         func = EndpointWeightedFunction(0.0, 0.0, series)
         tv = weighted_transform(gamma, delta, func, tgrid, p=p)
         f_norm = _grid_lp(series(xgrid), p)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -120,6 +121,26 @@ def test_readme_flag_table_matches_the_parser():
     common = {"-h", "--help", "--output", "--no-timestamp"}
     assert documented == {name: set(sub._option_string_actions) - common
                           for name, sub in parsers.values()}
+
+
+def _readme_cli_examples():
+    """The `fht ...` lines of the first sh block under README's CLI heading."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("\n```sh\n", 1)[1].split("\n```\n", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("fht ")]
+
+
+def test_readme_cli_examples_exit_with_their_documented_codes(capsys):
+    """Each README CLI example, run through main in-process, exits 0, except the
+    unsolvable high-regime inversion, whose comment there documents exit 4."""
+    examples = _readme_cli_examples()
+    assert examples
+    for line in examples:
+        expected = EXIT_NOT_SOLVABLE if line == 'fht invert --g "chebT:[1]" --regime high' else 0
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == expected, f"{line}: {err}"
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +579,8 @@ _TOO_LARGE_FOR_QUAD = re.compile(
     pytest.param(["transform", "--f", "weighted:{0.3,0,chebT:[1e308,1e308]}", "--grid", "3"],
                  _TOO_LARGE_FOR_QUAD, id="quadrature"),
     pytest.param(["transform", "--f", "weighted:{2000,0,chebT:[1]}", "--points=0.1"],
-                 _TOO_LARGE_FOR_QUAD, id="quadrature-weight-overflow"),
+                 "quadrature failure: the quadrature weight exp(1026.33) is not finite\n",
+                 id="quadrature-weight-overflow"),
     pytest.param(["invert", "--g", "chebT:[1e308,1e308,1e308]", "--regime", "low"],
                  _TOO_LARGE_FOR_QUAD, id="invert"),
     pytest.param(["invert", "--g", "weighted:{2000,0,chebT:[1]}", "--regime", "high"],

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -13,7 +14,7 @@ from finitehilbert.engine import (
     WIDOM,
     _quad,
     _derivative,
-    _quad_complex,
+    _integrate,
     _theta_integrand,
     fht_hat,
     fht_check,
@@ -502,8 +503,12 @@ def _pv_integrand_reference(f, t, ft, dft):
 
 def _reference_theta_integrand(f, t=None, ft=0j):
     if t is None:
-        return _times_sin_reference(f)
-    return _pv_integrand_reference(f, t, ft, _derivative(f, t))
+        g = _times_sin_reference(f)
+    else:
+        g = _pv_integrand_reference(f, t, ft, _derivative(f, t))
+    if engine._runs_real(f):
+        return lambda theta: g(theta).real
+    return g
 
 
 def _pv_terms(f, t):
@@ -567,10 +572,12 @@ def _equal(u, v, signed_zeros=False):
     (1022.0, -0.5),  # the weight reaches exp(708.75), where cmath.exp rounds differently
     (1023.2, -0.5),
     (2000.0, 0.0),  # the weight overflows
-    (1e307, 0.0),  # 2a + 1 overflows
+    (1e307, 0.0),  # the log-weight overflows
     (0.3 + 1e306j, 0.0),  # an infinite imaginary part of the log-weight
 ])
 def test_flat_theta_integrand_matches_reference_near_exp_overflow(a, b):
+    """Bit-equal or within 1e-15 relative where the reference (np.exp) is finite,
+    and a named NoConvergence exactly where it is not."""
     f = EndpointWeightedFunction(a, b, ChebyshevSeries([1e-300, 2e-300], FIRST_KIND))
     t = 0.1
     thetas = _EDGE_THETAS + list(np.linspace(0.0, math.pi, 2001)) + [math.acos(t)]
@@ -578,7 +585,13 @@ def test_flat_theta_integrand_matches_reference_near_exp_overflow(a, b):
         ft, dft = _pv_terms(f, t)
         pv, pv_ref = _theta_integrand(f, t, ft), _pv_integrand_reference(f, t, ft, dft)
         for th in thetas:
-            assert _equal(pv(th), pv_ref(th))
+            reference = complex(pv_ref(th))
+            if not cmath.isfinite(reference):
+                with pytest.raises(NoConvergence, match="the quadrature weight exp"):
+                    pv(th)
+                continue
+            value = pv(th)
+            assert _equal(value, reference) or abs(value - reference) <= 1e-15 * abs(reference)
 
 
 @pytest.mark.parametrize("func", [
@@ -598,16 +611,19 @@ def test_flat_theta_integrand_matches_reference_near_exp_overflow(a, b):
 def test_quadrature_is_bit_identical_with_reference_integrands(func, monkeypatch):
     ts = np.linspace(-0.9, 0.9, 7)
     values = list(fht_pointwise(func, ts)) + [complex(integrate_unit(func))]
+    # a real input's reference is the real part of the complex one, which is
+    # what quadrature integrated before real input ran in floats
     monkeypatch.setattr(engine, "_theta_integrand", _reference_theta_integrand)
     reference = list(fht_pointwise(func, ts)) + [complex(integrate_unit(func))]
     assert all(_equal(v, r, signed_zeros=True) for v, r in zip(values, reference))
 
 
-def _quad_complex_reference(g, a, b, real_only=False):
-    """Reference: two quad passes, each evaluating g at every one of its nodes."""
+def _integrate_reference(g, a, b, real=False):
+    """Reference: one quad pass over the real part, then (unless real) one over
+    the imaginary part, each evaluating g at every one of its nodes."""
     re, err_re = _quad(lambda s: g(s).real, a, b)
-    if real_only:
-        return complex(re), err_re
+    if real:
+        return re, err_re
     im, err_im = _quad(lambda s: g(s).imag, a, b)
     return complex(re, im), err_re + err_im
 
@@ -615,16 +631,16 @@ def _quad_complex_reference(g, a, b, real_only=False):
 def _xi_half_interval(monkeypatch, t, half):
     """The xi_lambda integrand of _pv_at at t on (0, phi) (half 0) or (phi, pi) (half 1)."""
     calls = []
-    real_quad_complex = engine._quad_complex
+    real_integrate = engine._integrate
 
-    def recording(g, a, b, real_only=False):
-        calls.append((g, a, b, real_only))
-        return real_quad_complex(g, a, b, real_only)
+    def recording(g, a, b, real):
+        calls.append((g, a, b, real))
+        return real_integrate(g, a, b, real)
 
-    monkeypatch.setattr(engine, "_quad_complex", recording)
+    monkeypatch.setattr(engine, "_integrate", recording)
     fht_pointwise(xi_function(0.2 + 0.3j), t)
     monkeypatch.undo()
-    assert [(a == 0.0, b == math.pi, real_only) for _, a, b, real_only in calls] == [
+    assert [(a == 0.0, b == math.pi, real) for _, a, b, real in calls] == [
         (True, False, False), (False, True, False)]
     g, a, b, _ = calls[half]
     return g, a, b
@@ -651,29 +667,67 @@ def _complex_integral(case, monkeypatch):
 @pytest.mark.parametrize("case", _INTEGRAL_CASES)
 def test_quad_complex_is_bit_identical_to_two_pass_reference(case, monkeypatch):
     g, a, b = _complex_integral(case, monkeypatch)
-    assert _quad_complex(g, a, b) == _quad_complex_reference(g, a, b)
+    assert _integrate(g, a, b, False) == _integrate_reference(g, a, b)
 
 
 def test_quad_complex_real_only_is_bit_identical_to_reference():
+    """The float integrand in one pass equals the real pass over the complex reference."""
     f = EndpointWeightedFunction(0.3, -0.4, ChebyshevSeries([1.0, -2.0, 0.5], FIRST_KIND))
     t = 0.1
-    g = _theta_integrand(f, t, complex(f(t)))
-    assert _quad_complex(g, 0.0, math.acos(t), real_only=True) == (
-        _quad_complex_reference(g, 0.0, math.acos(t), real_only=True))
+    ft, dft = _pv_terms(f, t)
+    g, g_ref = _theta_integrand(f, t, ft), _pv_integrand_reference(f, t, ft, dft)
+    assert _integrate(g, 0.0, math.acos(t), True) == (
+        _integrate_reference(g_ref, 0.0, math.acos(t), real=True))
 
 
-@pytest.mark.parametrize("unit, real_only", [(1.0, True), (1.0, False), (1j, False)],
+@pytest.mark.parametrize("unit, real", [(1.0, True), (1.0, False), (1j, False)],
                          ids=["real-only", "real-part", "imag-part"])
-def test_quad_complex_stops_at_node_values_quad_cannot_sum(unit, real_only):
+def test_quad_complex_stops_at_node_values_quad_cannot_sum(unit, real):
     # scipy's quad ended the process with a bus error on 1.7e308 / (1 + s) over (0, pi/2)
     with pytest.raises(NoConvergence, match="is too large for quadrature"):
-        _quad_complex(lambda s: unit * 1.7e308 / (1.0 + s), 0.0, 0.5 * math.pi,
-                      real_only=real_only)
+        _integrate(lambda s: unit * 1.7e308 / (1.0 + s), 0.0, 0.5 * math.pi, real)
 
 
 def test_quad_complex_leaves_non_finite_node_values_to_quad():
     with pytest.raises(NoConvergence, match="quadrature returned a non-finite value"):
-        _quad_complex(lambda s: complex(math.inf if s > 0.5 else 1.0, 1.0), 0.0, 1.0)
+        _integrate(lambda s: complex(math.inf if s > 0.5 else 1.0, 1.0), 0.0, 1.0, False)
+
+
+_REAL_SERIES = ChebyshevSeries([1.0, -2.0, 0.5, 0.25, -0.125, 0.1, 0.05, -0.02], FIRST_KIND)
+
+
+@pytest.mark.parametrize("func, passes", [
+    (EndpointWeightedFunction(0.3, -0.4, _REAL_SERIES), 1),
+    (EndpointWeightedFunction(0.5, 0.5, _REAL_SERIES), 1),
+    (_REAL_SERIES, 1),  # declared real and not endpoint-weighted
+    (EndpointWeightedFunction(0.3, -0.4, _REAL_SERIES * 1j), 2),
+    (EndpointWeightedFunction(0.3 + 0.2j, -0.4, _REAL_SERIES), 2),
+], ids=["real", "weight-w", "real-series", "imaginary-series", "complex-exponent"])
+def test_real_input_integrates_in_floats_in_one_pass_per_half_interval(
+        func, passes, monkeypatch):
+    quad_calls, node_types = [], set()
+    real_quad, real_theta_integrand = engine._quad, engine._theta_integrand
+
+    def recording_quad(g, a, b):
+        quad_calls.append((a, b))
+        return real_quad(g, a, b)
+
+    def typed_theta_integrand(*args):
+        g = real_theta_integrand(*args)
+
+        def typed(theta):
+            value = g(theta)
+            node_types.add(type(value))
+            return value
+
+        return typed
+
+    monkeypatch.setattr(engine, "_quad", recording_quad)
+    monkeypatch.setattr(engine, "_theta_integrand", typed_theta_integrand)
+    fht_pointwise(func, 0.3)
+    phi = math.acos(0.3)
+    assert quad_calls == [(0.0, phi)] * passes + [(phi, math.pi)] * passes
+    assert node_types == ({float} if passes == 1 else {complex})
 
 
 def test_quad_returns_an_unconverged_integral_without_a_warning(monkeypatch):
@@ -728,15 +782,15 @@ def _counting(g):
 def test_quad_complex_evaluates_g_once_per_distinct_node(case, monkeypatch):
     g, a, b = _complex_integral(case, monkeypatch)
     counted, real_nodes = _counting(g)
-    _quad_complex_reference(counted, a, b, real_only=True)
+    _integrate_reference(counted, a, b, real=True)
     counted, both_nodes = _counting(g)
-    _quad_complex_reference(counted, a, b)
+    _integrate_reference(counted, a, b)
     assert both_nodes[:len(real_nodes)] == real_nodes
     seen = set(real_nodes)
     unseen = [s for s in both_nodes[len(real_nodes):] if s not in seen]
 
     counted, nodes = _counting(g)
-    _quad_complex(counted, a, b)
+    _integrate(counted, a, b, False)
     assert nodes == real_nodes + unseen
     assert len(nodes) == len(set(both_nodes))
     if case == "imag-subdivides-more":

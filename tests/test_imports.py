@@ -1,7 +1,8 @@
 """Import hygiene of the package modules, read from their source with ast.
 
 No module binds an import it never reads, and none binds an underscore name
-of another package module: a private name stays with the module that owns it.
+of another package module or reads one as an attribute of a package module it
+imports: a private name stays with the module that owns it.
 The package's __init__ is left out, since it imports names only to re-export
 them.
 """
@@ -18,6 +19,7 @@ def import_problems(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     problems = []
+    modules = set()  # names bound to package modules, as by `from . import harness`
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.module == "__future__":
@@ -33,6 +35,14 @@ def import_problems(path):
                 problems.append((path.stem, bound, "never read"))
             if internal and alias.name.startswith("_"):
                 problems.append((path.stem, alias.name, "private name of another module"))
+            if internal and node.module in (None, "finitehilbert"):
+                modules.add(bound)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            problems.append((path.stem, f"{node.value.id}.{node.attr}",
+                             "private name of another module"))
     return problems
 
 
@@ -50,11 +60,15 @@ def test_the_import_check_sees_both_kinds_of_problem(tmp_path):
         "import numpy as np\n"
         "from .engine import _quad, transform\n"
         "from .functions import sample\n"
+        "from . import harness\n"
         "def f():\n"
         "    from scipy.special import gamma\n"
-        "    return np.pi + _quad + transform + gamma\n")
+        "    return np.pi + _quad + transform + gamma + np._core\n"
+        "def g():\n"
+        "    return harness.norm_probe, harness.__name__, harness._gauss_grid\n")
     assert import_problems(source) == [
         ("example", "math", "never read"),
         ("example", "_quad", "private name of another module"),
         ("example", "sample", "never read"),
+        ("example", "harness._gauss_grid", "private name of another module"),
     ]
