@@ -306,8 +306,7 @@ def cmd_eigencheck(args):
 # Identity suites: everything is seeded so reruns are byte-identical.
 
 def _random_poly(rng, degree):
-    series, = harness.random_cheb_family(rng, 1, degree)
-    return EndpointWeightedFunction(0.0, 0.0, series)
+    return next(harness.random_cheb_family(rng, 1, degree))
 
 
 def _random_union(rng):

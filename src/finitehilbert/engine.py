@@ -219,7 +219,7 @@ def _theta_integrand(f, t=None, ft=0j):
         a, b = a.real, b.real
     log_two = (a + b + 1.0) * math.log(2.0)
     sin_power, cos_power = 2.0 * a + 1.0, 2.0 * b + 1.0
-    coeffs = f.smooth._coeff_list
+    coeffs = f.smooth.coeff_list
     c0, rest = coeffs[0], coeffs[:0:-1]
     second_kind = f.smooth.basis == SECOND_KIND
     # closure cells, read faster than module attributes at every node
@@ -523,16 +523,15 @@ def weighted_transform(gamma, delta, f, t, p=2.0):
 
 
 # ---------------------------------------------------------------------------
-# Exact transform of polynomials (used by the identity harness).
+# Exact transform of polynomials: the closed-form route of transform.
 
 def fht_polynomial_parts(tc):
     """The transform of a T-basis polynomial split as R(t) + f(t) L(t)/pi.
 
     Here L(t) = log((1-t)/(1+t)) and R comes from exact integration of the
-    difference quotient (a polynomial in x for fixed t).  Exposing the two
-    parts lets callers evaluate the log factor in whatever stable form the
-    context provides (e.g. 2 log tan(theta/2) near the endpoints).  Both parts
-    take a scalar or an array.
+    difference quotient (a polynomial in x for fixed t).  fht_polynomial, its
+    only caller, adds the two parts with the log factor.  Both parts take a
+    scalar or an array.
     """
     mono = np.polynomial.chebyshev.cheb2poly(np.asarray(tc, dtype=complex))
     n = len(mono)

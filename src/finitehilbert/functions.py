@@ -179,13 +179,12 @@ class IndicatorUnion:
 # CSV wire format: header x,re,im with '.' decimals and LF line endings.
 
 def table_to_csv(xs, values):
-    """CSV text of real abscissae xs and complex values, one x,re,im row each."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "re", "im"])
-    for x, v in zip(xs, values):
-        writer.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
-    return buf.getvalue()
+    """CSV text of real abscissae xs and complex values, one x,re,im row each.
+
+    No float repr needs quoting, so the rows are plain joins.
+    """
+    rows = [f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n" for x, v in zip(xs, values)]
+    return "x,re,im\n" + "".join(rows)
 
 
 def sampled_to_csv(f):

@@ -43,16 +43,15 @@ class ChebyshevSeries:
         return bool(np.all(np.abs(self.coeffs.imag) == 0.0))
 
     @cached_property
-    def _coeff_list(self):
-        # a real series runs in floats, which equals the real part of the
-        # complex evaluation
+    def coeff_list(self):
+        """The coefficients as Python numbers; floats for a real series, so it runs in floats."""
         if self.real_valued:
             return self.coeffs.real.tolist()
         return self.coeffs.tolist()
 
     def __call__(self, x):
         """Clenshaw's recurrence on Python numbers: plain arithmetic for a float x."""
-        coeffs = self._coeff_list
+        coeffs = self.coeff_list
         b1 = b2 = 0.0
         for c in coeffs[:0:-1]:
             b1, b2 = c + 2.0 * x * b1 - b2, b1

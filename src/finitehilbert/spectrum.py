@@ -370,9 +370,7 @@ def sample_region(p, n, rng):
 
 
 def partition_check(fs, n=200, seed=0):
-    """Sampled disjointness/union check of the three parts against sigma."""
-    if isinstance(fs, SpaceDescriptor):
-        fs = classify_space(fs)
+    """Sampled disjointness/union check of the FineSpectrum fs's three parts against sigma."""
     rng = np.random.default_rng(seed)
     for lam in sample_region(fs.p, n, rng):
         hits = [name for name, part in fs.parts().items() if part.contains(lam)]

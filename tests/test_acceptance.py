@@ -328,7 +328,7 @@ def test_criterion_09_parseval_and_poincare_bertrand():
 
 def test_criterion_10_norm_bound():
     for p in (1.2, 1.5, 1.8):
-        report = norm_probe(p, family_size=50, seed=1010)
+        report, = norm_probe([p], family_size=50, seed=1010)
         bound = math.tan(math.pi / (2.0 * p))
         assert report.sup_ratio <= bound * 1.001, (p, report.sup_ratio, bound)
         if p == 1.5:

@@ -594,6 +594,13 @@ _TOO_LARGE_FOR_QUAD = re.compile(
     pytest.param(["invert", "--g", "chebT:[-1.5e308,0,1e308]", "--regime", "low"],
                  "non-finite result: the inversion overflowed: non-finite series coefficient\n",
                  id="invert-conversion"),
+    # |f|^p of a weighted norm probe overflows, and no report reads the inf norm
+    pytest.param(["norms", "--p", "1.5", "--family-size", "3", "--weighted", "0.2,0.2,400"],
+                 "non-finite result: the L^p norm of a probe function at p=400 is inf\n",
+                 id="norms-weighted-p-400"),
+    pytest.param(["norms", "--p", "1.5", "--family-size", "3", "--weighted", "0.2,0.2,1e308"],
+                 "non-finite result: the L^p norm of a probe function at p=1e+308 is inf\n",
+                 id="norms-weighted-p-1e308"),
 ])
 def test_overflow_exits_3_with_a_named_error(capsys, argv, stderr):
     code, out, err = run_cli(capsys, *argv, "--no-timestamp")
@@ -834,7 +841,7 @@ _COMMANDS = {
                                     _floats(-2.0, 1.0)))),
         "--family-size": (_SIZE, _BAD_SIZE),
         "--weighted": (st.builds("{},{},{}".format, _floats(-0.6, 0.6), _floats(-0.6, 0.6),
-                                 _floats(1.0, 3.0)),
+                                 _floats(1.0, 1e308)),
                        st.one_of(_NOISE, _joined(_floats(-2, 2), max_size=4))),
         "--seed": (_SEED, _BAD_SIZE),
     },

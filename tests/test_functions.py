@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from finitehilbert.functions import (
     sampled_from_csv,
     sampled_to_csv,
     sqrt_weight,
+    table_to_csv,
 )
 from finitehilbert.series import SECOND_KIND, ChebyshevSeries
 
@@ -107,6 +110,31 @@ def test_csv_round_trip():
     back = sampled_from_csv(text)
     assert np.allclose(back.points, f.points)
     assert np.allclose(back.values, f.values)
+
+
+def _writer_csv(xs, values):
+    """table_to_csv's text as csv.writer writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "re", "im"])
+    for x, v in zip(xs, values):
+        writer.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
+    return buf.getvalue()
+
+
+def test_csv_rows_match_the_csv_writer_form():
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e308, 0.1, -3.0]
+    values = [complex(re, im) for re in special for im in special]
+    xs = [special[i % len(special)] for i in range(len(values))]
+    rng = np.random.default_rng(3)
+    for case_xs, case_values in [
+        (xs, values),
+        (np.array(xs), np.array(values)),
+        (range(5), [0.5, -0.0, 1j, math.nan, 2]),
+        (rng.uniform(-1, 1, 40), rng.standard_normal(40) + 1j * rng.standard_normal(40)),
+        ([], []),
+    ]:
+        assert table_to_csv(case_xs, case_values) == _writer_csv(case_xs, case_values)
 
 
 def test_rearrangement_domain():

@@ -127,8 +127,6 @@ def _level_set_measure(A, lam):
 
 def _reference_laeng(A, lambdas):
     """check_laeng(A, lambdas).as_dict() with the scalar level-set measure."""
-    if not isinstance(A, IndicatorUnion):
-        A = IndicatorUnion(tuple(A))
     mA = A.measure()
     residuals = []
     for lam in lambdas:
@@ -172,7 +170,8 @@ def _unions(draw):
 @given(intervals=_unions(),
        lambdas=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=25))
 def test_laeng_matches_scalar_reference(intervals, lambdas):
-    assert check_laeng(intervals, lambdas).as_dict() == _reference_laeng(intervals, lambdas)
+    A = IndicatorUnion(tuple(intervals))
+    assert check_laeng(A, lambdas).as_dict() == _reference_laeng(A, lambdas)
 
 
 def test_laeng_matches_scalar_reference_fixed_cases():
@@ -214,7 +213,7 @@ def test_laeng_suite_cli_matches_scalar_reference(capsys, seed):
 
 def test_laeng_rejects_empty():
     with pytest.raises(ValueError):
-        check_laeng(())
+        check_laeng(IndicatorUnion(()))
 
 
 def test_kernel_reports():
@@ -224,19 +223,19 @@ def test_kernel_reports():
 
 
 def test_norm_probe_bound_and_determinism():
-    r1 = norm_probe(1.5, family_size=10, seed=4)
-    r2 = norm_probe(1.5, family_size=10, seed=4)
+    r1, = norm_probe([1.5], family_size=10, seed=4)
+    r2, = norm_probe([1.5], family_size=10, seed=4)
     assert r1.passed
     assert r1.sup_ratio == r2.sup_ratio
     assert r1.analytic_bound == pytest.approx(math.sqrt(3.0))
     with pytest.raises(ValueError):
-        norm_probe(2.5)
+        norm_probe([2.5])
 
 
 def test_norm_probe_of_several_p_equals_one_call_per_p():
     ps = (1.2, 1.5, 1.8)
     reports = norm_probe(ps, family_size=5, seed=9)
-    assert reports == [norm_probe(p, family_size=5, seed=9) for p in ps]
+    assert [[r] for r in reports] == [norm_probe([p], family_size=5, seed=9) for p in ps]
     with pytest.raises(ValueError):
         norm_probe((1.5, 2.5))
 

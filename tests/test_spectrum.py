@@ -190,7 +190,7 @@ def test_partition_checks():
                  SpaceDescriptor.lebesgue(2.0),
                  SpaceDescriptor.lorentz(3.0, 1.0),
                  SpaceDescriptor.indexed(3.0, 1.5, False, False)):
-        ok, info = partition_check(desc, n=200, seed=0)
+        ok, info = partition_check(classify_space(desc), n=200, seed=0)
         assert ok, info
 
 
