@@ -553,7 +553,7 @@ def build_parser():
     p.add_argument("--weighted", type=_float_triple,
                    help="gamma,delta,p for the weighted probe")
     p.add_argument("--loglog", action="store_true",
-                   help="include the L log L -> L^1 probe")
+                   help="include the L log L -> L^1 probe (not sized by --family-size)")
     p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_norms)

@@ -495,9 +495,12 @@ def project_P(f):
 
 
 def project_Q(f):
-    """Q(f) = ((1/pi) int f/w) * 1, the projection onto span{1}."""
+    """Q(f) = ((1/pi) int f/w) * 1, the projection onto span{1}; int f/w needs Re a, b > -1/2."""
     if not isinstance(f, EndpointWeightedFunction):
         raise UnsupportedExponents("project_Q needs a series-backed function")
+    if f.a.real <= -0.5 or f.b.real <= -0.5:
+        raise ExponentOutOfRange(
+            f"exponents ({f.a}, {f.b}): int f/w diverges unless both real parts exceed -1/2")
     c = complex(integrate_unit(f.shifted_exponents(-0.5, -0.5))) / math.pi
     return EndpointWeightedFunction(0.0, 0.0, ChebyshevSeries(np.array([c]), FIRST_KIND))
 

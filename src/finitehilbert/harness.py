@@ -10,8 +10,8 @@ import numpy as np
 
 from .engine import fht_pointwise, integrate_unit, transform, weighted_transform
 from .errors import NonFiniteResult
-from .functions import EndpointWeightedFunction, SampledFunction, sample
-from .rearrange import l1_norm, zygmund_norm
+from .functions import EndpointWeightedFunction, SampledFunction
+from .rearrange import zygmund_norm
 from .series import FIRST_KIND, ChebyshevSeries
 
 # Per-identity tolerances, in one place.
@@ -185,21 +185,24 @@ class ProbeReport:
     analytic_bound: float | None
     stable: bool
     details: dict
+    lower_bound: float | None = None
 
     @property
     def passed(self):
-        if self.analytic_bound is None:
-            return math.isfinite(self.sup_ratio) and self.stable
+        """stable and lower <= sup <= bound (1 + slack); absent bounds count as 0 and inf."""
+        upper = math.inf if self.analytic_bound is None else self.analytic_bound
         slack = 1.0 + TOLERANCES["norm_bound_slack"]
-        return self.sup_ratio <= self.analytic_bound * slack
+        return self.stable and (self.lower_bound or 0.0) <= self.sup_ratio <= upper * slack
 
     def as_dict(self):
+        lower = {} if self.lower_bound is None else {"lower_bound": self.lower_bound}
         return {
             "name": self.name,
             "sup_ratio": self.sup_ratio,
             "analytic_bound": self.analytic_bound,
             "stable": self.stable,
             "pass": self.passed,
+            **lower,
             **self.details,
         }
 
@@ -266,49 +269,39 @@ def norm_probe(ps, family_size=50, seed=0):
     return reports
 
 
-def _smoothed_spike(x0, beta, amp):
-    """amp (|x-x0|^2 + eps^2)^(-beta/2): an integrable spike, smooth and bounded.
+def _transform_l1_of_indicator(c, h):
+    """||T chi_I||_1 for I = (c - d, c + d) in (-1,1), d = h/2: (2h log(2/h) + D(1+c) + D(1-c))/pi.
 
-    eps is 1e-3.  The spike is declared real, so fht_pointwise integrates it
-    in one quad pass per half-interval, in floats.
+    D(x) = (x+d) log(x+d) - (x-d) log(x-d), summed as x log1p(2d/(x-d)) +
+    d log((x+d)(x-d)), which does not cancel.
     """
-    eps_sq = 1e-3 * 1e-3
-
-    def func(x):
-        return amp * ((x - x0) ** 2 + eps_sq) ** (-0.5 * beta)
-
-    func.real_valued = True
-    return func
+    d = 0.5 * h
+    x = np.array([1.0 + c, 1.0 - c])
+    D = x * np.log1p(2.0 * d / (x - d)) + d * np.log((x + d) * (x - d))
+    return float(2.0 * h * math.log(2.0 / h) + D.sum()) / math.pi
 
 
-def loglog_probe(family_size=10, seed=7):
-    """sup of ||T f||_1 / ||f||_(L log L) over a spiky family.
+def loglog_probe(seed=7):
+    """sup of ||T chi_I||_1 / ||chi_I||_(L log L) over I_k = (c_k - h_k/2, c_k + h_k/2).
 
-    There is no closed-form constant here; the probe asserts finiteness and
-    stability of the sup under grid refinement of the Zygmund functional.
+    h_k = 10^-k for k = 1..10 (the refinement adds k = 11), c_k uniform in
+    (-0.6, 0.6).  The denominator is zygmund_norm of the step whose middle
+    cell is I_k, h(log(2/h) + 2).  The ratio (2/pi)(log(2/h) + 1 +
+    log(1-c^2)/2)/(log(2/h) + 2) + O(h) rises toward 2/pi, the norm of T from
+    L log L to L^1; at h = 1e-10 it is at least (2/pi)(1 - 2/(log(2e10) + 2)).
     """
     rng = np.random.default_rng(seed)
-    n_grid = 800
-    tgrid = np.linspace(-0.9, 0.9, 41)
-    ratios, ratios_fine = [], []
-    for _ in range(family_size):
-        x0 = rng.uniform(-0.6, 0.6)
-        beta = rng.uniform(0.2, 0.8)
-        amp = rng.uniform(0.5, 2.0)
-        f = _smoothed_spike(x0, beta, amp)
-        tf = SampledFunction(tgrid, fht_pointwise(f, tgrid))
-        num = l1_norm(tf)
-        den = zygmund_norm(1.0, sample(f, n_grid))
-        den_fine = zygmund_norm(1.0, sample(f, 2 * n_grid))
-        ratios.append(num / den)
-        ratios_fine.append(num / den_fine)
-    sup = float(np.max(ratios))
-    sup_fine = float(np.max(ratios_fine))
-    stable = abs(sup_fine - sup) <= TOLERANCES["stability"] * max(sup, 1e-300)
-    return ProbeReport(name="loglog", sup_ratio=sup, analytic_bound=None,
-                       stable=stable,
-                       details={"family_size": family_size, "seed": seed,
-                                "refined_sup_ratio": sup_fine})
+    ratios = []
+    for k, c in enumerate(rng.uniform(-0.6, 0.6, 11), start=1):
+        h = 10.0**-k
+        step = SampledFunction([c - h, c, c + h], [0.0, 1.0, 0.0])
+        ratios.append(_transform_l1_of_indicator(c, h) / zygmund_norm(1.0, step))
+    sup, sup_fine = max(ratios[:10]), max(ratios)
+    stable = abs(sup_fine - sup) <= TOLERANCES["stability"] * sup
+    bound = 2.0 / math.pi
+    return ProbeReport(name="loglog", sup_ratio=sup, analytic_bound=bound, stable=stable,
+                       lower_bound=bound * (1.0 - 2.0 / (math.log(2e10) + 2.0)),
+                       details={"seed": seed, "refined_sup_ratio": sup_fine})
 
 
 def khvedelidze_probe(gamma, delta, p, family_size=20, seed=0):

@@ -73,13 +73,15 @@ def zygmund_norm(alpha, f):
     """Discrete Zygmund functional int_0^2 f*(t) log^alpha(2e/t) dt, alpha >= 1.
 
     Substituting u = log(2e/t) turns each cell integral into an incomplete
-    gamma difference, so the per-cell weights are exact for every alpha.
+    gamma difference, so the per-cell weights are exact for every alpha.  Near
+    t = 0, u is large and the lower regularized gamma is close to 1, so the
+    weights difference the upper one, which keeps the digits of small cells.
     """
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
     if len(f) < 2:
         raise DegenerateGrid("need at least 2 samples")
-    from scipy.special import gammainc
+    from scipy.special import gammaincc
     from scipy.special import gamma as gamma_fn
 
     t0, t1, vals = _rearranged_cells(f)
@@ -88,7 +90,7 @@ def zygmund_norm(alpha, f):
         u_hi = np.where(t0 > 0.0, np.log(scale / np.maximum(t0, 1e-300)), np.inf)
     u_lo = np.log(scale / t1)
     a = alpha + 1.0
-    cell = scale * gamma_fn(a) * (gammainc(a, u_hi) - gammainc(a, u_lo))
+    cell = scale * gamma_fn(a) * (gammaincc(a, u_lo) - gammaincc(a, u_hi))
     return float(np.sum(vals * cell))
 
 

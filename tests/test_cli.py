@@ -231,6 +231,19 @@ def test_invert_high_takes_a_weighted_rhs(capsys, g, code):
     assert (payload["roundtrip_residual"] > gate) == (code == 1)
 
 
+@pytest.mark.parametrize("g, exponents", [
+    ("weighted:{-0.5,-0.5,chebT:[1]}", "((-0.5+0j), (-0.5+0j))"),
+    ("weighted:{0.2,-0.7,chebT:[0,1]}", "((0.2+0j), (-0.7+0j))"),
+])
+def test_invert_high_names_the_exponents_of_a_divergent_int_g_over_w(capsys, g, exponents):
+    # int g/w diverges once an exponent reaches -1/2; the message names g's own
+    # exponents, not those of g/w
+    code, out, err = run_cli(capsys, "invert", "--g", g, "--regime", "high", "--no-timestamp")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == (f"error: exponents {exponents}: int f/w diverges unless both real parts "
+                   "exceed -1/2\n")
+
+
 @pytest.mark.parametrize("g", ["chebT:[1e5,3e5,-2e5]", "chebT:[1e8,3e8,-2e8]"])
 def test_invert_low_recovers_the_constant_of_a_large_rhs(capsys, g):
     # the recovered C is read from the weight's moments: quadrature's absolute
@@ -695,7 +708,8 @@ def test_cold_start_loads_scipy_only_on_first_use(tmp_path, capsys):
 
     A Jacobi weight loads scipy.special and no quadrature, and so do an
     unsolvable high-regime invert (Qg from the moments, exit 4, no round trip)
-    and a cubic CSV (chopped to its 4 coefficients, then the closed form);
+    and a cubic CSV (chopped to its 4 coefficients, then the closed form), and
+    so does norms --loglog (closed forms and the Zygmund functional);
     scipy.integrate loads only once an exponent on an integer sends a
     transform to quadrature.
     """
@@ -714,6 +728,7 @@ def test_cold_start_loads_scipy_only_on_first_use(tmp_path, capsys):
          "--no-timestamp"],
         ["invert", "--g", "chebT:[1]", "--regime", "high"],
         ["transform", "--f", f"csv:{cubic}", "--points", "0.5", "--no-timestamp"],
+        ["norms", "--p", "1.5", "--family-size", "2", "--loglog", "--no-timestamp"],
     ]
     quadrature = ["transform", "--f", "weighted:{0,-0.4,chebT:[1,2]}", "--points", "0.1",
                   "--no-timestamp"]
@@ -727,7 +742,7 @@ def test_cold_start_loads_scipy_only_on_first_use(tmp_path, capsys):
     assert after_cli == []
     assert [loaded for *_, loaded in runs[:len(numpy_only)]] == [[]] * len(numpy_only)
     assert runs[len(numpy_only) - 1][0] == EXIT_PARSE
-    assert [code for code, *_ in runs[len(numpy_only):-1]] == [0, EXIT_NOT_SOLVABLE, 0]
+    assert [code for code, *_ in runs[len(numpy_only):-1]] == [0, EXIT_NOT_SOLVABLE, 0, 0]
     assert "scipy.special" in runs[len(numpy_only)][3]
     assert "scipy.integrate" not in runs[-2][3]
     assert "scipy.integrate" in runs[-1][3]

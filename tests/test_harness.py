@@ -241,9 +241,64 @@ def test_norm_probe_of_several_p_equals_one_call_per_p():
 
 
 def test_loglog_probe_finite_and_stable():
-    r = loglog_probe(family_size=3, seed=7)
-    assert r.passed
-    assert math.isfinite(r.sup_ratio)
+    r = loglog_probe(seed=7)
+    assert r.passed and r.stable
+    assert r.analytic_bound == 2.0 / math.pi
+    assert r.lower_bound == pytest.approx(0.58711, abs=5e-6)
+    assert r.lower_bound <= r.sup_ratio <= r.details["refined_sup_ratio"] < r.analytic_bound
+    assert sorted(r.as_dict()) == ["analytic_bound", "lower_bound", "name", "pass",
+                                   "refined_sup_ratio", "seed", "stable", "sup_ratio"]
+
+
+def _mpmath_transform_l1_of_indicator(c, h):
+    """(2h log(2/h) + D(1+c) + D(1-c))/pi in 40-digit arithmetic, D as written."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        c, h = mpmath.mpf(c), mpmath.mpf(h)
+        d = h / 2
+
+        def D(x):
+            return (x + d) * mpmath.log(x + d) - (x - d) * mpmath.log(x - d)
+
+        return (2 * h * mpmath.log(2 / h) + D(1 + c) + D(1 - c)) / mpmath.pi
+
+
+@pytest.mark.parametrize("c, h", [(0.2, 0.5), (-0.4, 1e-3)])
+def test_closed_form_l1_of_an_indicator_transform_is_the_integral(c, h):
+    # the closed form against 25-digit quadrature of |T chi_I| = |log|(t-b)/(t-a)||/pi
+    import mpmath
+
+    with mpmath.workdps(25):
+        a, b = mpmath.mpf(c) - mpmath.mpf(h) / 2, mpmath.mpf(c) + mpmath.mpf(h) / 2
+        integral = mpmath.quad(lambda t: abs(mpmath.log(abs((t - b) / (t - a)))),
+                               [-1, a, c, b, 1]) / mpmath.pi
+        assert abs(integral / _mpmath_transform_l1_of_indicator(c, h) - 1) < 1e-20
+
+
+@pytest.mark.parametrize("h", [0.5, 0.1, 1e-3, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_closed_form_l1_of_an_indicator_transform_matches_mpmath(h):
+    for c in (0.0, 0.37, -0.6, 0.95 - h):
+        exact = _mpmath_transform_l1_of_indicator(c, h)
+        assert abs(harness._transform_l1_of_indicator(c, h) / exact - 1) <= 4e-16
+
+
+def test_loglog_probe_passes_and_is_stable_on_seeds():
+    reports = [loglog_probe(seed=seed) for seed in range(200)]
+    assert all(r.passed and r.stable for r in reports)
+
+
+@pytest.mark.parametrize("name", ["_transform_l1_of_indicator", "zygmund_norm"])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_loglog_probe_fails_when_a_norm_is_off_by_ten_percent(monkeypatch, name, factor):
+    original = getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *args: factor * original(*args))
+    assert not any(loglog_probe(seed=seed).passed for seed in range(50))
+
+
+def test_loglog_probe_runs_no_quadrature(quad_settings):
+    loglog_probe(seed=3)
+    assert quad_settings == []
 
 
 def test_khvedelidze_probe_regimes():
@@ -254,9 +309,8 @@ def test_khvedelidze_probe_regimes():
         assert r.passed
 
 
-# The cross-product closures and the spike wrapper as they were written before
-# _cross_products and _smoothed_spike(..., amp) replaced them.  The spike copy
-# must give the harness values bit for bit.  The Parseval and PB copies keep
+# The cross-product closures as they were written before _cross_products
+# replaced them.  The Parseval and PB copies keep
 # their own quadrature settings through _two_pass_quad: Parseval in x over
 # (-1,1) at tolerance 4e-10, PB's outer p.v. at 1e-8 with 512 panels.  The
 # harness reports, from integrate_unit and from fht_pointwise at the engine's
@@ -312,13 +366,6 @@ def _pv_copy(f, t):
     return (v1 + v2 + ft * math.log((1.0 - t) / (1.0 + t))) / math.pi
 
 
-def _spike_copy(x0, beta, eps=1e-3):
-    def func(x):
-        return ((x - x0) ** 2 + eps * eps) ** (-0.5 * beta)
-
-    return func
-
-
 def _seeded_pairs(seed, count, degree):
     rng = np.random.default_rng(seed)
     return [(cli._random_poly(rng, degree), cli._random_poly(rng, degree))
@@ -368,41 +415,8 @@ def quad_settings(monkeypatch):
 
 
 def test_parseval_and_poincare_bertrand_quadrature_at_the_default_config(quad_settings):
-    # one setting for every quad call, loglog_probe's included
+    # one setting for every quad call
     f, g = poly(1.0, 0.5), poly(0.3, -0.2, 0.1)
     check_parseval(f, g)
     check_poincare_bertrand(f, g)
-    loglog_probe(family_size=1)
     assert quad_settings and set(quad_settings) == {(2.5e-11, 2.5e-11, 4096)}
-
-
-def test_loglog_spikes_equal_the_wrapper_copy():
-    # loglog_probe's family and grid at its default seed
-    rng = np.random.default_rng(7)
-    tgrid = np.linspace(-0.9, 0.9, 41)
-    for _ in range(10):
-        x0 = rng.uniform(-0.6, 0.6)
-        beta = rng.uniform(0.2, 0.8)
-        amp = rng.uniform(0.5, 2.0)
-        spike = _spike_copy(x0, beta)
-
-        def f(x, spike=spike, amp=amp):
-            return amp * spike(x)
-
-        values = harness.fht_pointwise(harness._smoothed_spike(x0, beta, amp), tgrid)
-        assert values.tolist() == harness.fht_pointwise(f, tgrid).tolist()
-
-
-@pytest.mark.parametrize("x0, beta, amp, t", [
-    (-0.45, 0.3, 0.8, -0.7), (0.1, 0.55, 1.6, 0.1), (0.52, 0.78, 1.9, 0.35),
-    (-0.2, 0.21, 0.5, 0.88),
-])
-def test_declared_real_spike_takes_one_quad_pass_per_half_interval(
-        x0, beta, amp, t, quad_settings):
-    spike = harness._smoothed_spike(x0, beta, amp)
-    value = harness.fht_pointwise(spike, t)
-    real_calls = len(quad_settings)
-    wrapped = harness.fht_pointwise(lambda x: spike(x), t)
-    assert (real_calls, len(quad_settings) - real_calls) == (2, 4)
-    assert value.real == wrapped.real
-    assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0

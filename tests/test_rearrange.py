@@ -74,6 +74,41 @@ def test_zygmund_alpha2_against_quadrature():
     assert zygmund_norm(2.0, f) == pytest.approx(exact, rel=1e-9)
 
 
+def _mpmath_zygmund(f):
+    """int_0^2 f*(t) log(2e/t) dt in 40 digits, from f's cell widths and |values|."""
+    import mpmath
+
+    order = np.argsort(-np.abs(f.values), kind="stable")
+    with mpmath.workdps(40):
+        def F(t):  # an antiderivative of log(2e/t), 0 at t = 0
+            return t * (mpmath.log(2 * mpmath.e / t) + 1) if t else mpmath.mpf(0)
+
+        total, t0 = mpmath.mpf(0), mpmath.mpf(0)
+        for v, w in zip(np.abs(f.values)[order], f.cell_widths()[order]):
+            t1 = t0 + mpmath.mpf(float(w))
+            total += mpmath.mpf(float(v)) * (F(t1) - F(t0))
+            t0 = t1
+        return total
+
+
+@pytest.mark.parametrize("f", [
+    *(SampledFunction([0.3 - h, 0.3, 0.3 + h], [0.0, 1.0, 0.0]) for h in (1e-6, 1e-10, 1e-12)),
+    sample(lambda x: math.exp(x) * (1.5 + math.sin(7 * x)), 400),
+], ids=["step-1e-6", "step-1e-10", "step-1e-12", "smooth-400"])
+def test_zygmund_norm_matches_mpmath(f):
+    # the lower incomplete gamma is near 1 at small t, so a difference of it loses
+    # the digits of a small cell
+    exact = _mpmath_zygmund(f)
+    assert abs(zygmund_norm(1.0, f) / exact - 1) <= 4e-15
+
+
+@pytest.mark.parametrize("h", [0.5, 0.1, 1e-3, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_zygmund_norm_of_a_step_is_h_log_2_over_h_plus_2(h):
+    # the middle cell is (-h/2, h/2), exactly; the rearrangement is 1 on (0, h)
+    step = SampledFunction([-h, 0.0, h], [0.0, 1.0, 0.0])
+    assert zygmund_norm(1.0, step) == pytest.approx(h * (math.log(2 / h) + 2), rel=4e-15, abs=0)
+
+
 def test_divergence_flag_for_inverse_weight_in_l2():
     # 1/w is in weak-L^2 but not L^2; the refinement must flag L^2 divergence
     est = lorentz_norm_with_divergence_check(inverse_sqrt_weight(), 2.0, 2.0)
